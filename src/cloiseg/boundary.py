@@ -34,7 +34,8 @@ class BoundaryStats(NamedTuple):
     ratio: float
 
 
-def _flags_from_pairs(n: int, pairs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+def flags_from_pairs(n: int, pairs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Flag both ends of every neighbor pair whose labels differ."""
     flags = np.zeros(n, dtype=bool)
     if pairs.size:
         differ = labels[pairs[:, 0]] != labels[pairs[:, 1]]
@@ -49,7 +50,7 @@ def detect_class_boundaries(
     if len(index) != len(cloud):
         raise ValueError("index was not built over this cloud")
     pairs = index.pairs_within(params.radius)
-    return _flags_from_pairs(len(cloud), pairs, cloud.class_labels)
+    return flags_from_pairs(len(cloud), pairs, cloud.class_labels)
 
 
 def detect_gt_instance_boundaries(
@@ -61,7 +62,7 @@ def detect_gt_instance_boundaries(
     if len(cloud) and not cloud.has_ground_truth:
         raise ValueError("ground-truth instance ids are required on every point")
     pairs = index.pairs_within(params.radius)
-    return _flags_from_pairs(len(cloud), pairs, cloud.gt_instance)
+    return flags_from_pairs(len(cloud), pairs, cloud.gt_instance)
 
 
 def boundary_stats(flags: np.ndarray) -> BoundaryStats:

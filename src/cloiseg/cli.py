@@ -101,7 +101,10 @@ class RunConfig:
         threads = get("threads")
         if threads is None:
             env = os.environ.get(THREADS_ENV_VAR)
-            threads = int(env) if env else (os.cpu_count() or 1)
+            try:
+                threads = int(env) if env else (os.cpu_count() or 1)
+            except ValueError:
+                raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from None
         if threads < 1:
             raise ValueError(f"--threads must be >= 1, got {threads}")
         inputs = get("inputs")
@@ -233,15 +236,7 @@ def _cmd_boundary(cfg: RunConfig) -> int:
         flags = detect_gt_instance_boundaries(cloud, index, cfg.boundary)
     else:
         flags = detect_class_boundaries(cloud, index, cfg.boundary)
-    with open(cfg.output, "w", encoding="utf-8") as f:
-        f.write(f"cloi-pts v1 n={len(cloud)}\n")
-        for i in range(len(cloud)):
-            x, y, z = cloud.positions[i]
-            row = (f"{float(x)!r} {float(y)!r} {float(z)!r} "
-                   f"{cloud.class_labels[i]} {cloud.gt_instance[i]}")
-            if cloud.pred_instance is not None:
-                row += f" {cloud.pred_instance[i]}"
-            f.write(row + f" {int(flags[i])}\n")
+    save_pts(cloud, cfg.output, include_predictions=cloud.has_predictions, extra_column=flags)
     cfg.log(f"flagged {int(flags.sum())} of {len(cloud)} points")
     return 0
 
@@ -262,6 +257,8 @@ def _cmd_eval(cfg: RunConfig) -> int:
     gt_cloud = _load(gt_path)
     if len(pred_cloud) != len(gt_cloud):
         raise ValueError(f"cloud sizes differ: {len(pred_cloud)} vs {len(gt_cloud)}")
+    if not (pred_cloud.positions == gt_cloud.positions).all():
+        raise ValueError("point positions differ between prediction and ground-truth files")
     if not (pred_cloud.class_labels == gt_cloud.class_labels).all():
         raise ValueError("class labels differ between prediction and ground-truth files")
     if not pred_cloud.has_predictions:

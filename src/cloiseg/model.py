@@ -11,8 +11,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -76,7 +77,6 @@ class PointRecord:
     position: Point3
     class_label: ClassLabel
     gt_instance: int | None = None
-    boundary: bool = False
     pred_instance: int | None = None
 
 
@@ -125,7 +125,6 @@ class LabeledPointCloud:
         class_labels: np.ndarray,
         gt_instance: np.ndarray | None = None,
         pred_instance: np.ndarray | None = None,
-        boundary: np.ndarray | None = None,
     ):
         positions = np.ascontiguousarray(positions, dtype=np.float64)
         if positions.ndim != 2 or positions.shape[1] != 3:
@@ -161,24 +160,13 @@ class LabeledPointCloud:
                 raise ValueError("pred_instance must have one entry per point")
             pred_instance = canonical_instance_ids(pred_instance)
 
-        if boundary is None:
-            boundary = np.zeros(n, dtype=bool)
-        else:
-            boundary = np.asarray(boundary, dtype=bool)
-            if boundary.shape != (n,):
-                raise ValueError("boundary must have one entry per point")
-
         self.positions = positions
         self.class_labels = class_labels
         self.gt_instance = canonical_instance_ids(gt_instance)
         self.pred_instance = pred_instance
-        self.boundary = boundary
 
     def __len__(self) -> int:
         return self.positions.shape[0]
-
-    def __iter__(self) -> Iterator[PointRecord]:
-        return (self.record(i) for i in range(len(self)))
 
     @property
     def has_ground_truth(self) -> bool:
@@ -198,7 +186,6 @@ class LabeledPointCloud:
             position=Point3(*self.positions[i]),
             class_label=ClassLabel(int(self.class_labels[i])),
             gt_instance=None if gt == NOISE else gt,
-            boundary=bool(self.boundary[i]),
             pred_instance=pred,
         )
 
@@ -210,35 +197,10 @@ class LabeledPointCloud:
             self.class_labels[idx],
             self.gt_instance[idx],
             None if self.pred_instance is None else self.pred_instance[idx],
-            self.boundary[idx],
         )
 
     def with_predictions(self, assignment: np.ndarray) -> "LabeledPointCloud":
-        return LabeledPointCloud(
-            self.positions, self.class_labels, self.gt_instance, assignment, self.boundary
-        )
-
-    def with_boundary(self, flags: np.ndarray) -> "LabeledPointCloud":
-        return LabeledPointCloud(
-            self.positions, self.class_labels, self.gt_instance, self.pred_instance, flags
-        )
-
-    @classmethod
-    def from_records(cls, records: Iterable[PointRecord]) -> "LabeledPointCloud":
-        records = list(records)
-        n = len(records)
-        positions = np.array([[r.position.x, r.position.y, r.position.z] for r in records],
-                             dtype=np.float64).reshape(n, 3)
-        classes = np.array([int(r.class_label) for r in records], dtype=np.int64)
-        gt = np.array([NOISE if r.gt_instance is None else r.gt_instance for r in records],
-                      dtype=np.int64)
-        has_pred = any(r.pred_instance is not None for r in records)
-        pred = None
-        if has_pred:
-            pred = np.array([NOISE if r.pred_instance is None else r.pred_instance
-                             for r in records], dtype=np.int64)
-        flags = np.array([r.boundary for r in records], dtype=bool)
-        return cls(positions, classes, gt, pred, flags)
+        return LabeledPointCloud(self.positions, self.class_labels, self.gt_instance, assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +210,6 @@ class LabeledPointCloud:
 def _validate_table(path, table: np.ndarray, first_data_line: int) -> LabeledPointCloud:
     """Build a cloud from a parsed (N, 5|6) float table, reporting bad lines."""
     n, ncol = table.shape
-    if ncol not in (5, 6):
-        raise PtsParseError(path, first_data_line,
-                            f"expected 5 or 6 columns, got {ncol}")
     coords = table[:, :3]
     bad = ~np.isfinite(coords).all(axis=1)
     if bad.any():
@@ -283,8 +242,18 @@ def _validate_table(path, table: np.ndarray, first_data_line: int) -> LabeledPoi
     return LabeledPointCloud(coords, classes, gt, pred)
 
 
-def _parse_body_slow(path, lines: list[str], first_data_line: int) -> np.ndarray:
-    """Line-by-line fallback parser that pinpoints the malformed line."""
+def _parse_table(path, lines: list[str], first_data_line: int, widths=(5, 6)) -> np.ndarray:
+    """Parse non-empty ``lines`` into a float table with one of ``widths`` columns.
+
+    A fast bulk parse is tried first; on any failure a line-by-line pass
+    pinpoints the malformed line.
+    """
+    try:
+        table = np.loadtxt(lines, dtype=np.float64, ndmin=2)
+        if table.shape[0] == len(lines) and table.shape[1] in widths:
+            return table
+    except ValueError:
+        pass
     rows = []
     ncol = None
     for offset, line in enumerate(lines):
@@ -293,9 +262,10 @@ def _parse_body_slow(path, lines: list[str], first_data_line: int) -> np.ndarray
         if not tokens:
             raise PtsParseError(path, line_no, "blank line in point data")
         if ncol is None:
-            if len(tokens) not in (5, 6):
+            if len(tokens) not in widths:
+                expected = " or ".join(map(str, widths))
                 raise PtsParseError(path, line_no,
-                                    f"expected 5 or 6 columns, got {len(tokens)}")
+                                    f"expected {expected} columns, got {len(tokens)}")
             ncol = len(tokens)
         elif len(tokens) != ncol:
             raise PtsParseError(path, line_no,
@@ -304,7 +274,7 @@ def _parse_body_slow(path, lines: list[str], first_data_line: int) -> np.ndarray
             rows.append([float(t) for t in tokens])
         except ValueError:
             raise PtsParseError(path, line_no, f"unparseable number in {tokens!r}") from None
-    return np.array(rows, dtype=np.float64).reshape(len(rows), ncol or 5)
+    return np.array(rows, dtype=np.float64)
 
 
 def load_pts(path) -> LabeledPointCloud:
@@ -325,36 +295,29 @@ def load_pts(path) -> LabeledPointCloud:
         raise PtsParseError(path, None, f"header declares n={n} but file has {len(lines)} data lines")
     if n == 0:
         return LabeledPointCloud(np.empty((0, 3)), np.empty(0, dtype=np.int64))
-    try:
-        table = np.loadtxt(lines, dtype=np.float64, ndmin=2)
-        if table.shape[0] != n:
-            raise ValueError("row count mismatch")
-    except PtsParseError:
-        raise
-    except Exception:
-        table = _parse_body_slow(path, lines, first_data_line=2)
-    return _validate_table(path, table, first_data_line=2)
+    return _validate_table(path, _parse_table(path, lines, 2), first_data_line=2)
 
 
-def save_pts(cloud: LabeledPointCloud, path, include_predictions: bool = False) -> None:
-    """Write a cloud as CLOI-PTS. Coordinates round-trip bit-exactly via repr."""
+def save_pts(
+    cloud: LabeledPointCloud, path, include_predictions: bool = False, extra_column=None
+) -> None:
+    """Write a cloud as CLOI-PTS. Coordinates round-trip bit-exactly via repr.
+
+    ``extra_column`` (one integer per point) is appended to every row; such
+    files are analysis output, not re-loadable CLOI-PTS.
+    """
     if include_predictions and cloud.pred_instance is None:
         raise ValueError("cloud has no predictions to write")
-    path = Path(path)
-    pos, cls, gt = cloud.positions, cloud.class_labels, cloud.gt_instance
-    pred = cloud.pred_instance
-
-    def lines():
-        yield f"cloi-pts v1 n={len(cloud)}\n"
-        for i in range(len(cloud)):
-            x, y, z = pos[i]
-            row = f"{float(x)!r} {float(y)!r} {float(z)!r} {cls[i]} {gt[i]}"
-            if include_predictions:
-                row += f" {pred[i]}"
-            yield row + "\n"
-
-    with path.open("w", encoding="utf-8") as f:
-        f.writelines(lines())
+    ints = [cloud.class_labels, cloud.gt_instance]
+    if include_predictions:
+        ints.append(cloud.pred_instance)
+    if extra_column is not None:
+        ints.append(np.asarray(extra_column, dtype=np.int64))
+    columns = ([map(repr, c.tolist()) for c in cloud.positions.T]
+               + [map(str, c.tolist()) for c in ints])
+    with Path(path).open("w", encoding="utf-8") as f:
+        f.write(f"cloi-pts v1 n={len(cloud)}\n")
+        f.writelines(" ".join(row) + "\n" for row in zip(*columns))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +325,11 @@ def save_pts(cloud: LabeledPointCloud, path, include_predictions: bool = False) 
 # ---------------------------------------------------------------------------
 
 def load_ply(path) -> LabeledPointCloud:
-    """Import an ASCII PLY vertex cloud (properties x, y, z[, class][, instance])."""
+    """Import an ASCII PLY vertex cloud (properties x, y, z[, class][, instance]).
+
+    Values pass the same checks as CLOI-PTS; a missing class is 0 (other) and
+    a missing instance is NOISE.
+    """
     path = Path(path)
     with path.open("r", encoding="utf-8") as f:
         if f.readline().strip() != "ply":
@@ -380,6 +347,8 @@ def load_ply(path) -> LabeledPointCloud:
             if not tokens or tokens[0] == "comment":
                 continue
             if tokens[0] == "element":
+                if len(tokens) != 3 or not tokens[2].isdigit():
+                    raise PtsParseError(path, line_no, f"bad element line {line.strip()!r}")
                 in_vertex = tokens[1] == "vertex"
                 if in_vertex:
                     n_vertex = int(tokens[2])
@@ -394,29 +363,18 @@ def load_ply(path) -> LabeledPointCloud:
         for req in ("x", "y", "z"):
             if req not in properties:
                 raise PtsParseError(path, line_no, f"missing vertex property {req!r}")
-        rows = []
-        for i in range(n_vertex):
-            line = f.readline()
-            line_no += 1
-            tokens = line.split()
-            if len(tokens) != len(properties):
-                raise PtsParseError(path, line_no,
-                                    f"expected {len(properties)} values, got {len(tokens)}")
-            try:
-                rows.append([float(t) for t in tokens])
-            except ValueError:
-                raise PtsParseError(path, line_no, f"unparseable number in {tokens!r}") from None
-    data = np.array(rows, dtype=np.float64).reshape(n_vertex, len(properties))
-    col = {name: i for i, name in enumerate(properties)}
-    coords = data[:, [col["x"], col["y"], col["z"]]]
-    classes = (data[:, col["class"]].astype(np.int64)
-               if "class" in col else np.zeros(n_vertex, dtype=np.int64))
-    gt = (data[:, col["instance"]].astype(np.int64)
-          if "instance" in col else np.full(n_vertex, NOISE, dtype=np.int64))
-    try:
-        return LabeledPointCloud(coords, classes, gt)
-    except ValueError as exc:
-        raise PtsParseError(path, None, str(exc)) from exc
+        lines = list(islice(f, n_vertex))
+    if len(lines) != n_vertex:
+        raise PtsParseError(path, None,
+                            f"header declares {n_vertex} vertices but file has {len(lines)}")
+    first_data_line = line_no + 1
+    data = (_parse_table(path, lines, first_data_line, widths=(len(properties),))
+            if n_vertex else np.empty((0, len(properties))))
+    col = {name: data[:, i] for i, name in enumerate(properties)}
+    table = np.column_stack([col["x"], col["y"], col["z"],
+                             col.get("class", np.zeros(n_vertex)),
+                             col.get("instance", np.full(n_vertex, float(NOISE)))])
+    return _validate_table(path, table, first_data_line)
 
 
 # ---------------------------------------------------------------------------

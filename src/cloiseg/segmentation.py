@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse import csgraph
-from scipy.spatial import cKDTree
 
-from .boundary import BoundaryParams, detect_class_boundaries
+from .boundary import BoundaryParams, detect_class_boundaries, flags_from_pairs
 from .model import NOISE, LabeledPointCloud, canonical_instance_ids
 from .spatial import RadiusIndex
 
@@ -136,16 +135,20 @@ def connected_components(
     in_subset = np.zeros(n, dtype=bool)
     in_subset[vertices] = True
 
-    pairs = index.pairs_within(epsilon)
-    if pairs.size:
-        keep = in_subset[pairs[:, 0]] & in_subset[pairs[:, 1]]
-        pairs = pairs[keep]
-    if pairs.size and predicate is not None:
-        keep = np.asarray(predicate(pairs[:, 0], pairs[:, 1]), dtype=bool)
-        pairs = pairs[keep]
-
+    pairs = _link_filter(index.pairs_within(epsilon), in_subset, predicate)
     labels = _component_labels(n, pairs)
     return _group_by_label(labels, vertices)
+
+
+def _link_filter(pairs: np.ndarray, vertex_mask: np.ndarray, predicate=None) -> np.ndarray:
+    """The pairs with both ends in ``vertex_mask`` that pass ``predicate(i, j)``."""
+    if pairs.size == 0:
+        return pairs
+    i, j = pairs[:, 0], pairs[:, 1]
+    keep = vertex_mask[i] & vertex_mask[j]
+    if predicate is not None:
+        keep &= np.asarray(predicate(i, j), dtype=bool)
+    return pairs[keep]
 
 
 def _component_labels(n: int, pairs: np.ndarray) -> np.ndarray:
@@ -195,26 +198,17 @@ def segment_with_details(
     index = RadiusIndex(cloud.positions)
     if r_b == eps:
         pairs = index.pairs_within(eps)
-        flags = np.zeros(n, dtype=bool)
-        if pairs.size:
-            differ = classes[pairs[:, 0]] != classes[pairs[:, 1]]
-            flags[pairs[differ].ravel()] = True
-        eps_pairs = pairs
+        flags = flags_from_pairs(n, pairs, classes)
     else:
         flags = detect_class_boundaries(cloud, index, BoundaryParams(r_b))
-        eps_pairs = index.pairs_within(eps)
+        pairs = index.pairs_within(eps)
 
     interior = ~flags
-    if eps_pairs.size:
-        keep = (
-            interior[eps_pairs[:, 0]]
-            & interior[eps_pairs[:, 1]]
-            & (classes[eps_pairs[:, 0]] == classes[eps_pairs[:, 1]])
-        )
-        eps_pairs = eps_pairs[keep]
+    pairs = _link_filter(pairs, interior, lambda i, j: classes[i] == classes[j])
 
     # provisional instances: components over interior points, canonical ids
-    labels = _component_labels(n, eps_pairs)
+    labels = _component_labels(n, pairs)
+    del pairs
     assignment = np.full(n, NOISE, dtype=np.int64)
     interior_idx = np.nonzero(interior)[0]
     assignment[interior_idx] = labels[interior_idx]
@@ -246,40 +240,23 @@ def _reattach_boundary_points(
     cap: float,
     workers: int,
 ) -> tuple[int, int]:
-    """Join each boundary point to the nearest same-class instance within cap.
+    """Join each boundary point to the nearest same-class instance within cap (inclusive).
 
     Nearest is measured to any member point; exact ties go to the lowest
     instance id. Mutates ``assignment`` in place; returns (joined, noise)
     counts. Boundary points never bridge instances.
     """
     boundary_idx = np.nonzero(flags)[0]
-    if boundary_idx.size == 0:
-        return 0, 0
     reattached = 0
     joined = np.full(boundary_idx.size, NOISE, dtype=np.int64)
     for c in np.unique(classes[boundary_idx]):
         b_sel = np.nonzero(classes[boundary_idx] == c)[0]
-        b_idx = boundary_idx[b_sel]
         members = np.nonzero((classes == c) & (assignment >= 0))[0]
-        if members.size == 0:
-            continue
-        tree = cKDTree(positions[members])
-        dist, _ = tree.query(positions[b_idx], k=1, distance_upper_bound=cap, workers=workers)
-        hit = np.isfinite(dist)
-        if not hit.any():
-            continue
-        # re-query a hair wider, then resolve exact argmins ourselves so the
-        # result does not depend on tree internals or worker count
-        radii = dist[hit] * (1.0 + 1e-9)
-        candidate_lists = tree.query_ball_point(positions[b_idx[hit]], radii, workers=workers)
-        hit_rows = np.nonzero(hit)[0]
-        for row, cands in zip(hit_rows, candidate_lists):
-            cand = members[np.asarray(cands, dtype=np.int64)]
-            delta = positions[cand] - positions[b_idx[row]]
-            sq = np.einsum("ij,ij->i", delta, delta)
-            best = sq.min()
-            joined[b_sel[row]] = int(assignment[cand[sq == best]].min())
-        reattached += int(hit.sum())
+        rows, nearest = RadiusIndex(positions[members]).nearest_within(
+            positions[boundary_idx[b_sel]], cap, workers=workers)
+        hit_rows, starts = np.unique(rows, return_index=True)
+        joined[b_sel[hit_rows]] = np.minimum.reduceat(assignment[members[nearest]], starts)
+        reattached += int(hit_rows.size)
     assignment[boundary_idx] = joined
     return reattached, int(boundary_idx.size) - reattached
 
@@ -292,9 +269,7 @@ def segment_single_object(positions: np.ndarray, epsilon: float) -> SingleObject
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     n = positions.shape[0]
-    tree = cKDTree(positions)
-    pairs = tree.query_pairs(epsilon, output_type="ndarray").astype(np.int64, copy=False)
-    labels = _component_labels(n, pairs)
+    labels = _component_labels(n, RadiusIndex(positions).pairs_within(epsilon))
     sizes = np.bincount(labels)
     sizes = sizes[sizes > 0]
     return SingleObjectResult(int(sizes.size), float(sizes.max() / n))

@@ -46,3 +46,34 @@ class RadiusIndex:
         if len(self) == 0:
             return np.empty((0, 2), dtype=np.int64)
         return self._tree.query_pairs(r, output_type="ndarray").astype(np.int64, copy=False)
+
+    def nearest_within(
+        self, points: np.ndarray, cap: float, workers: int = 1
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every exactly nearest indexed point to each query point, up to distance cap.
+
+        Returns ``(rows, nearest)``: query row ``rows[k]`` has indexed point
+        ``nearest[k]`` at its minimal squared distance, which is <= cap**2.
+        Equidistant nearest points are all listed, so ties are left to the
+        caller and do not depend on tree internals or worker count. Rows with
+        nothing within cap are absent; output is sorted by row, then point.
+        """
+        if not cap > 0:
+            raise ValueError(f"cap must be positive, got {cap}")
+        points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+        # the tree only shortlists: query a hair wider than cap and than each
+        # nearest tree distance, then decide minima and the cap exactly here
+        dist, _ = self._tree.query(points, k=1, distance_upper_bound=cap * (1.0 + 1e-9),
+                                   workers=workers)
+        hit = np.nonzero(np.isfinite(dist))[0]
+        found = self._tree.query_ball_point(points[hit], dist[hit] * (1.0 + 1e-9),
+                                            workers=workers, return_sorted=True)
+        # every ball holds at least the point the first query found
+        counts = np.fromiter(map(len, found), dtype=np.int64, count=hit.size)
+        rows = np.repeat(hit, counts)
+        cands = np.fromiter((j for js in found for j in js), dtype=np.int64, count=rows.size)
+        delta = self.positions[cands] - points[rows]
+        sq = np.einsum("ij,ij->i", delta, delta)
+        best = np.repeat(np.minimum.reduceat(sq, np.cumsum(counts) - counts), counts)
+        keep = (sq == best) & (best <= cap * cap)
+        return rows[keep], cands[keep]

@@ -23,6 +23,19 @@ def brute_radius_neighbors(positions: np.ndarray, i: int, r: float) -> np.ndarra
     return hits[hits != i]
 
 
+def brute_nearest_within(positions: np.ndarray, queries: np.ndarray, cap: float) -> list:
+    """(query row, point) for every point at a query's minimal distance, if <= cap."""
+    out = []
+    for row, q in enumerate(queries):
+        if positions.shape[0] == 0:
+            continue
+        d2 = np.sum((positions - q) ** 2, axis=1)
+        best = d2.min()
+        if best <= cap * cap:
+            out.extend((row, int(j)) for j in np.nonzero(d2 == best)[0])
+    return out
+
+
 def brute_class_boundaries(positions: np.ndarray, labels: np.ndarray, r: float) -> np.ndarray:
     n = positions.shape[0]
     flags = np.zeros(n, dtype=bool)

@@ -11,6 +11,7 @@ from cloiseg import (
     generate_scene,
     load_pts,
     make_benchmark_suite,
+    save_pts,
     score,
 )
 from cloiseg.cli import main
@@ -109,9 +110,29 @@ def test_eval_mismatched_sizes_is_data_error(tmp_path, capsys):
     assert main(["eval", str(small), str(a)]) == 2
 
 
+def test_eval_mismatched_positions_is_data_error(tmp_path, capsys):
+    scene = _synth(tmp_path)
+    seg = tmp_path / "seg.pts"
+    assert main(["segment", str(scene), str(seg)]) == 0
+    lines = seg.read_text().splitlines()
+    fields = lines[1].split()
+    fields[0] = repr(float(fields[0]) + 1e-3)
+    lines[1] = " ".join(fields)
+    moved = tmp_path / "moved.pts"
+    moved.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["eval", str(moved), str(scene)]) == 2
+    assert "positions differ" in capsys.readouterr().err
+
+
 def test_eval_requires_prediction_column(tmp_path):
     scene = _synth(tmp_path)
     assert main(["eval", str(scene), str(scene)]) == 2
+
+
+def _rows_without_flags(path) -> list[str]:
+    lines = path.read_text().splitlines()
+    return [lines[0]] + [line.rsplit(" ", 1)[0] for line in lines[1:]]
 
 
 def test_boundary_appends_flag_column(tmp_path):
@@ -124,7 +145,20 @@ def test_boundary_appends_flag_column(tmp_path):
     assert widths == {6}
     flags = {line.split()[-1] for line in lines[1:]}
     assert flags == {"0", "1"}
+    # every row minus its flag is exactly what save_pts writes
+    plain = tmp_path / "plain.pts"
+    save_pts(load_pts(scene), plain)
+    assert _rows_without_flags(out) == plain.read_text().splitlines()
     assert main(["boundary", str(scene), str(out), "--gt"]) == 0
+    assert _rows_without_flags(out) == plain.read_text().splitlines()
+
+    # a prediction column is carried through ahead of the flag
+    seg = tmp_path / "seg.pts"
+    assert main(["segment", str(scene), str(seg)]) == 0
+    assert main(["boundary", str(seg), str(out)]) == 0
+    assert {len(line.split()) for line in out.read_text().splitlines()[1:]} == {7}
+    save_pts(load_pts(seg), plain, include_predictions=True)
+    assert _rows_without_flags(out) == plain.read_text().splitlines()
 
 
 def test_stats_matches_histogram(tmp_path, capsys):
@@ -182,6 +216,26 @@ def test_sweep_bias_mode(tmp_path, capsys):
     assert text.splitlines()[0] == "facility,m_prec,m_rec"
     assert any(line.startswith("std,") for line in text.splitlines())
     assert main(["sweep", "--mode", "bias", str(a)]) == 2
+
+
+def test_non_integer_threads_env_exits_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CLOI_SEG_THREADS", "two")
+    assert main(["segment", "missing.pts", str(tmp_path / "out.pts")]) == 1
+    assert "CLOI_SEG_THREADS must be an integer, got 'two'" in capsys.readouterr().err
+    assert not (tmp_path / "out.pts").exists()
+
+
+def test_ply_value_errors_name_the_line(tmp_path, capsys):
+    header = ("ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\n"
+              "property float y\nproperty float z\nproperty int class\n"
+              "property int instance\nend_header\n")
+    for body, line, message in (("0 0 0 3 0\n1 0 0 2.7 0\n", 11, "non-integer class code"),
+                                ("0 0 0 3 0.5\n1 0 0 3 0\n", 10, "non-integer instance id"),
+                                ("0 0 0 3 0\n1 0 0 9 1\n", 11, "class code outside")):
+        ply = tmp_path / "bad.ply"
+        ply.write_text(header + body)
+        assert main(["stats", str(ply)]) == 2
+        assert f"{ply}:{line}: {message}" in capsys.readouterr().err
 
 
 def test_threads_flag_and_env_do_not_change_output(tmp_path, monkeypatch):

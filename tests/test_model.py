@@ -221,6 +221,58 @@ def test_load_ply_defaults_without_labels(tmp_path):
     assert cloud.gt_instance.tolist() == [NOISE]
 
 
+_PLY_HEADER = (
+    "ply\nformat ascii 1.0\ncomment made by hand\nelement vertex 2\n"
+    "property float x\nproperty float y\nproperty float z\n"
+    "property float class\nproperty float instance\nend_header\n"
+)
+
+
+def test_load_ply_rejects_fractional_labels(tmp_path):
+    p = tmp_path / "frac.ply"
+    p.write_text(_PLY_HEADER + "0 0 0 3 0\n1 0 0 2.7 1\n")
+    with pytest.raises(PtsParseError, match=r"frac\.ply:12: non-integer class code"):
+        load_ply(p)
+    p.write_text(_PLY_HEADER + "0 0 0 3 0.5\n1 0 0 3 0\n")
+    with pytest.raises(PtsParseError, match=r"frac\.ply:11: non-integer instance id"):
+        load_ply(p)
+
+
+def test_load_ply_range_and_format_errors_carry_line(tmp_path):
+    p = tmp_path / "bad.ply"
+    for body, where in (("0 0 0 3 0\n1 0 0 8 1\n", ":12: class code outside"),
+                        ("0 0 0 3 -2\n1 0 0 3 0\n", ":11: instance id below -1"),
+                        ("0 0 0 3 0\n1 0 nan 3 0\n", ":12: non-finite"),
+                        ("0 0 0 3 0\n1 0 0 4 0\n", ":12: ground-truth instance mixes"),
+                        ("0 0 0 3 0\n1 0 0 3\n", ":12: expected 5 columns, got 4"),
+                        ("0 0 0 3 0\n", "declares 2 vertices but file has 1")):
+        p.write_text(_PLY_HEADER + body)
+        with pytest.raises(PtsParseError, match=where):
+            load_ply(p)
+
+
+def test_load_ply_rejects_bad_element_line(tmp_path):
+    p = tmp_path / "el.ply"
+    for element in ("element vertex", "element vertex two"):
+        p.write_text(f"ply\nformat ascii 1.0\n{element}\nproperty float x\nend_header\n")
+        with pytest.raises(PtsParseError, match=r"el\.ply:3: bad element line"):
+            load_ply(p)
+
+
+def test_load_ply_ignores_other_properties_and_trailing_elements(tmp_path):
+    p = tmp_path / "extra.ply"
+    p.write_text(
+        "ply\nformat ascii 1.0\nelement vertex 2\nproperty float nx\n"
+        "property float x\nproperty float y\nproperty float z\nproperty int instance\n"
+        "element face 1\nproperty list uchar int vertex_indices\nend_header\n"
+        "9 0.5 0 0 7\n9 1.5 0 0 7\n3 0 1 1\n"
+    )
+    cloud = load_ply(p)
+    assert cloud.positions[:, 0].tolist() == [0.5, 1.5]
+    assert cloud.class_labels.tolist() == [0, 0]
+    assert cloud.gt_instance.tolist() == [0, 0]
+
+
 def test_load_ply_rejects_binary(tmp_path):
     p = tmp_path / "c.ply"
     p.write_text("ply\nformat binary_little_endian 1.0\nend_header\n")

@@ -250,6 +250,18 @@ def test_matches_brute_force_oracle(rng):
         assert np.array_equal(got.assignment, expect)
 
 
+def test_reattachment_cap_is_closed():
+    # the boundary point at x=0 (class-1 neighbour at 0.25) has its nearest
+    # class-0 instance member exactly 3 * epsilon away, so it joins that instance
+    pos = np.array([[x, 0.0, 0.0] for x in (-1.5, -1.25, -1.0, -0.75, 0.0, 0.25)])
+    classes = np.array([0, 0, 0, 0, 0, 1])
+    labeling, details = segment_with_details(make_cloud(pos, classes),
+                                             SegmentationParams(epsilon=0.25, mu=1))
+    assert labeling.assignment.tolist() == [0, 0, 0, 0, 0, NOISE]
+    assert labeling.assignment.tolist() == brute_segment(pos, classes, 0.25, 1).tolist()
+    assert (details.reattached_count, details.boundary_noise_count) == (1, 1)
+
+
 def test_class_purity(rng):
     cloud = _random_scene(rng, 400)
     labeling = segment(cloud, SegmentationParams(epsilon=0.06, mu=1))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from cloiseg import RadiusIndex
-from oracles import brute_radius_neighbors
+from conftest import grid_blob
+from oracles import brute_nearest_within, brute_radius_neighbors
 
 
 def test_empty_index():
@@ -87,3 +88,56 @@ def test_pairs_within_matches_brute_force(rng):
             if i < j:
                 expect.add((i, int(j)))
     assert got == expect
+
+
+def _nearest(index, queries, cap, workers=1):
+    rows, nearest = index.nearest_within(queries, cap, workers=workers)
+    return list(zip(rows.tolist(), nearest.tolist()))
+
+
+def test_nearest_within_matches_brute_force(rng):
+    for _ in range(10):
+        positions = rng.random((int(rng.integers(1, 300)), 3))
+        queries = rng.random((60, 3)) * 1.2 - 0.1
+        cap = float(rng.uniform(0.01, 0.3))
+        index = RadiusIndex(positions)
+        expect = brute_nearest_within(positions, queries, cap)
+        assert _nearest(index, queries, cap) == expect
+        assert _nearest(index, queries, cap, workers=2) == expect
+
+
+def test_nearest_within_lists_every_exact_tie():
+    # a 3x3x3 lattice of spacing 0.25 is exact in binary: the queries sit on an
+    # edge midpoint, a face centre and a cell centre, equidistant to 2, 4 and 8 points
+    lattice = grid_blob((0, 0, 0), 27, spacing=0.25)
+    index = RadiusIndex(lattice)
+    queries = np.array([[0.125, 0, 0], [0.125, 0.125, 0], [0.125, 0.125, 0.125]])
+    got = _nearest(index, queries, 1.0)
+    assert got == brute_nearest_within(lattice, queries, 1.0)
+    assert [sum(1 for r, _ in got if r == row) for row in range(3)] == [2, 4, 8]
+
+
+def test_nearest_within_on_random_lattice_queries(rng):
+    lattice = grid_blob((0.5, 0.5, 0.5), 64, spacing=0.01)
+    index = RadiusIndex(lattice)
+    # half-spacing offsets from lattice points give ties wherever the offsets line up
+    queries = lattice[rng.integers(0, 64, 100)] + rng.integers(-1, 2, (100, 3)) * 0.005
+    for cap in (0.004, 0.005, 0.00866, 0.02):
+        assert _nearest(index, queries, cap) == brute_nearest_within(lattice, queries, cap)
+
+
+def test_nearest_within_cap_is_closed():
+    index = RadiusIndex(np.array([[0.25, 0, 0], [2.0, 0, 0]]))
+    query = np.array([[1.0, 0, 0]])  # exactly 0.75 from the first point
+    assert _nearest(index, query, 0.75) == [(0, 0)]
+    assert _nearest(index, query, np.nextafter(0.75, 0)) == []
+
+
+def test_nearest_within_empty_inputs():
+    empty = RadiusIndex(np.empty((0, 3)))
+    assert _nearest(empty, np.zeros((4, 3)), 1.0) == []
+    index = RadiusIndex(np.zeros((2, 3)))
+    assert _nearest(index, np.empty((0, 3)), 1.0) == []
+    assert _nearest(index, np.zeros((1, 3)), 1.0) == [(0, 0), (0, 1)]  # duplicates tie
+    with pytest.raises(ValueError):
+        index.nearest_within(np.zeros((1, 3)), 0.0)
