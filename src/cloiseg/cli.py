@@ -21,6 +21,7 @@ from .model import (
     ClassLabel,
     LabeledPointCloud,
     PtsParseError,
+    atomic_open,
     class_histogram,
     load_ply,
     load_pts,
@@ -107,6 +108,8 @@ class RunConfig:
                 raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from None
         if threads < 1:
             raise ValueError(f"--threads must be >= 1, got {threads}")
+        if get("manifest") and not get("profile"):
+            raise ValueError("--manifest requires --profile")
         inputs = get("inputs")
         if inputs is None:
             inputs = [p for p in (get("input"), get("pred"), get("gt")) if p is not None]
@@ -210,7 +213,6 @@ def _cmd_synth(cfg: RunConfig) -> int:
         spec = SceneSpec.from_json(cfg.spec_path)
         if cfg.seed is not None:
             spec = SceneSpec(spec.shapes, cfg.seed, spec.clutter, spec.min_declared_gap)
-        manifest = None
     else:
         suite = make_benchmark_suite(cfg.profile, seed=cfg.seed or 0)
         if not 0 <= cfg.index < len(suite):
@@ -220,9 +222,7 @@ def _cmd_synth(cfg: RunConfig) -> int:
     cloud = generate_scene(spec)
     save_pts(cloud, cfg.output)
     if cfg.manifest_path:
-        if manifest is None:
-            raise ValueError("--manifest requires --profile")
-        with open(cfg.manifest_path, "w", encoding="utf-8") as f:
+        with atomic_open(cfg.manifest_path, encoding="utf-8") as f:
             json.dump(manifest, f, indent=2)
             f.write("\n")
     cfg.log(f"wrote {len(cloud)} points to {cfg.output}")

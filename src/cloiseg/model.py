@@ -8,7 +8,10 @@ instances are numbered 0..K-1 by ascending smallest member point index,
 
 from __future__ import annotations
 
+import os
 import re
+import secrets
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import islice
@@ -298,6 +301,25 @@ def load_pts(path) -> LabeledPointCloud:
     return _validate_table(path, _parse_table(path, lines, 2), first_data_line=2)
 
 
+@contextmanager
+def atomic_open(path, **open_kwargs):
+    """Open a text file for writing that appears at ``path`` only when complete.
+
+    Writes go to a temporary file beside ``path``, which replaces ``path`` when
+    the block exits normally; on an exception the temporary file is removed
+    and any earlier file at ``path`` is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    try:
+        with tmp.open("x", **open_kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_pts(
     cloud: LabeledPointCloud, path, include_predictions: bool = False, extra_column=None
 ) -> None:
@@ -315,7 +337,7 @@ def save_pts(
         ints.append(np.asarray(extra_column, dtype=np.int64))
     columns = ([map(repr, c.tolist()) for c in cloud.positions.T]
                + [map(str, c.tolist()) for c in ints])
-    with Path(path).open("w", encoding="utf-8") as f:
+    with atomic_open(path, encoding="utf-8") as f:
         f.write(f"cloi-pts v1 n={len(cloud)}\n")
         f.writelines(" ".join(row) + "\n" for row in zip(*columns))
 

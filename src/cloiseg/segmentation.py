@@ -10,7 +10,8 @@ the number of worker threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -94,12 +95,19 @@ class InstanceLabeling:
 
 @dataclass(frozen=True)
 class SegmentationDetails:
-    """Diagnostics from one segmentation run."""
+    """Diagnostics from one segmentation run.
+
+    Counts conserve points: reattached + boundary noise = boundary points,
+    boundary noise + dropped points = NOISE points, and provisional -
+    dropped instances = final instances.
+    """
 
     boundary_flags: np.ndarray
     provisional_count: int
     reattached_count: int
     boundary_noise_count: int
+    dropped_instances: int = 0
+    dropped_points: int = 0
 
 
 @dataclass(frozen=True)
@@ -186,10 +194,23 @@ def segment_with_details(
     cloud: LabeledPointCloud, params: SegmentationParams | None = None, workers: int | None = None
 ) -> tuple[InstanceLabeling, SegmentationDetails]:
     params = params or SegmentationParams()
+    assignment, details = _segment_before_mu(cloud, params, workers)
+    assignment, dropped_instances, dropped_points = _mu_filter(assignment, params.mu)
+    labeling = InstanceLabeling.from_assignment(assignment, cloud.class_labels)
+    return labeling, replace(details, dropped_instances=dropped_instances,
+                             dropped_points=dropped_points)
+
+
+def _segment_before_mu(
+    cloud: LabeledPointCloud, params: SegmentationParams, workers: int | None
+) -> tuple[np.ndarray, SegmentationDetails]:
+    """Every stage but the size filter: the assignment after reattachment.
+
+    ``params.mu`` is not read, so one result serves every minimum size.
+    """
     n = len(cloud)
     if n == 0:
-        empty = InstanceLabeling.from_assignment(np.empty(0, dtype=np.int64), cloud.class_labels)
-        return empty, SegmentationDetails(np.zeros(0, dtype=bool), 0, 0, 0)
+        return np.empty(0, dtype=np.int64), SegmentationDetails(np.zeros(0, dtype=bool), 0, 0, 0)
     workers = workers or -1
     eps = params.epsilon
     r_b = params.resolved_boundary_radius
@@ -219,17 +240,24 @@ def segment_with_details(
         cloud.positions, classes, flags, assignment, cap=REATTACH_CAP_FACTOR * eps,
         workers=workers,
     )
+    return assignment, SegmentationDetails(flags, provisional_count, reattached, boundary_noise)
 
-    # minimum-size filter runs after reattachment so boundary points count
-    if assignment.max() >= 0:
-        sizes = np.bincount(assignment[assignment >= 0], minlength=assignment.max() + 1)
-        small = sizes[assignment[assignment >= 0]] < params.mu
-        victims = np.nonzero(assignment >= 0)[0][small]
-        assignment[victims] = NOISE
 
-    labeling = InstanceLabeling.from_assignment(assignment, classes)
-    details = SegmentationDetails(flags, provisional_count, reattached, boundary_noise)
-    return labeling, details
+def _mu_filter(assignment: np.ndarray, mu: int) -> tuple[np.ndarray, int, int]:
+    """Instances with fewer than mu points become NOISE; the input is not modified.
+
+    Runs after reattachment, so boundary points count toward the size.
+    Returns the filtered assignment and the dropped instance and point counts.
+    """
+    assignment = assignment.copy()
+    member = assignment >= 0
+    if not member.any():
+        return assignment, 0, 0
+    sizes = np.bincount(assignment[member])
+    small = sizes < mu
+    victims = np.nonzero(member)[0][small[assignment[member]]]
+    assignment[victims] = NOISE
+    return assignment, int(small.sum()), int(victims.size)
 
 
 def _reattach_boundary_points(
@@ -268,8 +296,31 @@ def segment_single_object(positions: np.ndarray, epsilon: float) -> SingleObject
         raise ValueError("object has no points")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
+    return _fragmentation_by_radius(positions, (epsilon,))[0]
+
+
+def _fragmentation_by_radius(
+    positions: np.ndarray, epsilons: Sequence[float]
+) -> list[SingleObjectResult]:
+    """``segment_single_object`` at every radius of a valid ascending grid, from one pair list.
+
+    Each pair within the largest radius belongs to the band of the first grid
+    radius whose square it does not exceed. Walking the grid upward, each
+    radius joins the components of the one before with its own band only.
+    """
+    epsilons = np.asarray(epsilons, dtype=np.float64)
     n = positions.shape[0]
-    labels = _component_labels(n, RadiusIndex(positions).pairs_within(epsilon))
-    sizes = np.bincount(labels)
-    sizes = sizes[sizes > 0]
-    return SingleObjectResult(int(sizes.size), float(sizes.max() / n))
+    pairs, sq = RadiusIndex(positions).pairs_within(float(epsilons[-1]), squared_distances=True)
+    band = np.searchsorted(epsilons * epsilons, sq, side="left")
+    del sq
+    labels = np.arange(n, dtype=np.int64)
+    results = []
+    for k in range(epsilons.size):
+        # links between points already together are dropped; repeats are harmless
+        links = labels[pairs[band == k]]
+        links = links[links[:, 0] != links[:, 1]]
+        if links.size:
+            labels = _component_labels(int(labels.max()) + 1, links)[labels]
+        sizes = np.bincount(labels)
+        results.append(SingleObjectResult(int(sizes.size), float(sizes.max() / n)))
+    return results

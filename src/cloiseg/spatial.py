@@ -39,13 +39,27 @@ class RadiusIndex:
         out.sort()
         return out
 
-    def pairs_within(self, r: float) -> np.ndarray:
-        """All index pairs (i, j), i < j, with d(P_i, P_j) <= r; shape (M, 2)."""
+    def pairs_within(self, r: float, squared_distances: bool = False):
+        """All index pairs (i, j), i < j, with d(P_i, P_j) <= r; shape (M, 2).
+
+        With ``squared_distances`` the result is ``(pairs, sq)``: ``sq[k]`` is
+        ``dx*dx + dy*dy + dz*dz`` over the coordinates of ``pairs[k]``, and a
+        pair is within the closed ball exactly when ``sq <= r*r``.
+        """
         if not r > 0:
             raise ValueError(f"radius must be positive, got {r}")
         if len(self) == 0:
-            return np.empty((0, 2), dtype=np.int64)
-        return self._tree.query_pairs(r, output_type="ndarray").astype(np.int64, copy=False)
+            pairs = np.empty((0, 2), dtype=np.int64)
+            return (pairs, np.empty(0, dtype=np.float64)) if squared_distances else pairs
+        if not squared_distances:
+            return self._tree.query_pairs(r, output_type="ndarray").astype(np.int64, copy=False)
+        # the tree only shortlists, a hair wider than r; the rule is applied here
+        pairs = self._tree.query_pairs(r * (1.0 + 1e-9), output_type="ndarray")
+        delta = self.positions[pairs[:, 0]] - self.positions[pairs[:, 1]]
+        dx, dy, dz = delta.T
+        sq = dx * dx + dy * dy + dz * dz
+        keep = sq <= r * r
+        return pairs[keep].astype(np.int64, copy=False), sq[keep]
 
     def nearest_within(
         self, points: np.ndarray, cap: float, workers: int = 1

@@ -1,9 +1,14 @@
 """Parameter-search harness: link-radius and minimum-size studies as tidy rows.
 
-Each sweep row comes from one independent segmentation+scoring run, so any
-row can be reproduced by a direct call with the same parameters. Rows are
-plain dicts meant for CSV emission; plotting is out of scope. During radius
-sweeps the boundary radius tracks epsilon unless explicitly overridden.
+Every sweep row equals the result of a direct call with the same parameters:
+``segment`` plus ``score`` for the mu and epsilon sweeps, and
+``segment_single_object`` per ground-truth object for the radius sweep.
+Sweeps may share work between rows where that keeps them equal: the mu
+sweep segments once and applies each minimum size to that result, and the
+radius sweep enumerates each object's pairs once, at the largest radius.
+Rows are plain dicts meant for CSV emission; plotting is out of scope.
+During radius sweeps the boundary radius tracks epsilon unless explicitly
+overridden.
 """
 
 from __future__ import annotations
@@ -17,12 +22,14 @@ from typing import Sequence
 import numpy as np
 
 from .evaluation import THRESHOLDS, rec_ins, score
-from .model import ClassLabel, LabeledPointCloud
+from .model import ClassLabel, LabeledPointCloud, atomic_open
 from .segmentation import (
     InstanceLabeling,
     SegmentationParams,
+    _fragmentation_by_radius,
+    _mu_filter,
+    _segment_before_mu,
     segment,
-    segment_single_object,
     segment_with_details,
 )
 
@@ -71,13 +78,19 @@ def sweep_mu(
     boundary_radius: float | None = None,
     workers: int | None = None,
 ) -> list[dict]:
-    """One segmentation+score per minimum instance size; fixed link radius."""
+    """Scores per minimum instance size at a fixed link radius.
+
+    Each row equals ``segment`` with that mu plus ``score``. The size filter
+    is the last stage, so the stages before it run once for the whole grid.
+    """
     mus = tuple(int(m) for m in _check_grid(mus, "mu", minimum=1))
     gt = _gt_labeling(cloud)
+    params = SegmentationParams(epsilon=epsilon, mu=mus[0], boundary_radius=boundary_radius)
+    unfiltered, _ = _segment_before_mu(cloud, params, workers)
     rows = []
     for mu in mus:
-        params = SegmentationParams(epsilon=epsilon, mu=mu, boundary_radius=boundary_radius)
-        pred = segment(cloud, params, workers=workers)
+        assignment, _, _ = _mu_filter(unfiltered, mu)
+        pred = InstanceLabeling.from_assignment(assignment, cloud.class_labels)
         report = score(pred, gt, thresholds=(threshold,))
         tm = report.by_threshold[threshold]
         row: dict = {"mu": mu}
@@ -125,7 +138,8 @@ def sweep_radius_per_object(
 ) -> tuple[list[dict], float | None]:
     """Per-object fragmentation study over the radius grid.
 
-    Each ground-truth instance is clustered in isolation at every radius.
+    Each ground-truth instance is clustered in isolation at every radius, as
+    ``segment_single_object`` does; one pair list per object serves the grid.
     Returns the rows plus the smallest radius whose mRec_ins at IoU 0.5
     reaches 90%, or None if no grid value qualifies.
     """
@@ -134,10 +148,11 @@ def sweep_radius_per_object(
     gt = _gt_labeling(cloud)
     if gt.n_instances == 0:
         raise ValueError("cloud has no ground-truth instances")
+    per_object = [_fragmentation_by_radius(cloud.positions[m], epsilons) for m in gt.instances]
     rows = []
     selected = None
-    for eps in epsilons:
-        results = [segment_single_object(cloud.positions[m], eps) for m in gt.instances]
+    for k, eps in enumerate(epsilons):
+        results = [by_radius[k] for by_radius in per_object]
         row: dict = {"epsilon": eps}
         for t in thresholds:
             row[f"m_rec_ins@{t:g}"] = rec_ins(results, t)
@@ -147,8 +162,8 @@ def sweep_radius_per_object(
                 rec_ins(of_class, RADIUS_SELECTION_THRESHOLD) if of_class else math.nan
             )
         rows.append(row)
-        key = f"m_rec_ins@{RADIUS_SELECTION_THRESHOLD:g}"
-        if selected is None and row[key] >= RADIUS_SELECTION_TARGET:
+        if selected is None and (rec_ins(results, RADIUS_SELECTION_THRESHOLD)
+                                 >= RADIUS_SELECTION_TARGET):
             selected = eps
     return rows, selected
 
@@ -198,7 +213,7 @@ def write_csv(rows: Sequence[dict], target, fieldnames: Sequence[str] | None = N
             writer.writerow({k: fmt(row.get(k)) for k in fieldnames})
 
     if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline="") as f:
+        with atomic_open(target, encoding="utf-8", newline="") as f:
             emit(f)
     else:
         emit(target)

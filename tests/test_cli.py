@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+import cloiseg.cli
+import cloiseg.model
 from cloiseg import (
     InstanceLabeling,
     class_histogram,
@@ -13,6 +15,7 @@ from cloiseg import (
     make_benchmark_suite,
     save_pts,
     score,
+    write_csv,
 )
 from cloiseg.cli import main
 from cloiseg.sweep import rows_to_csv_text
@@ -192,6 +195,72 @@ def test_synth_manifest_written(tmp_path):
                  "--out", str(out), "--manifest", str(man)]) == 0
     manifest = json.loads(man.read_text())
     assert manifest["expected_radius_selection"] == 0.04
+
+
+def test_synth_manifest_without_profile_exits_one_before_writing(tmp_path, capsys):
+    (spec, _), = make_benchmark_suite("dense", seed=3)
+    spec_path = tmp_path / "s.json"
+    spec.to_json(spec_path)
+    out, man = tmp_path / "x.pts", tmp_path / "m.json"
+    assert main(["synth", "--spec", str(spec_path), "--out", str(out),
+                 "--manifest", str(man)]) == 1
+    assert "--manifest requires --profile" in capsys.readouterr().err
+    assert not out.exists() and not man.exists()
+
+
+class _WriteFailed(Exception):
+    pass
+
+
+def _fail_on_call(k, fn):
+    """``fn`` that raises on its k-th call."""
+    calls = iter(range(k - 1))
+
+    def wrapped(*args, **kwargs):
+        if next(calls, None) is None:
+            raise _WriteFailed
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+class _Unprintable:
+    def __str__(self):
+        raise _WriteFailed
+
+
+@pytest.mark.parametrize("writer", ["save_pts", "write_csv", "manifest"])
+def test_failed_write_keeps_earlier_output(tmp_path, monkeypatch, writer):
+    scene = _synth(tmp_path)
+    out = tmp_path / "out"
+    out.write_text("earlier output\n")
+    if writer == "save_pts":
+        # the 100th coordinate fails: the header and 33 rows are already out
+        monkeypatch.setattr(cloiseg.model, "repr", _fail_on_call(100, repr), raising=False)
+        with pytest.raises(_WriteFailed):
+            save_pts(load_pts(scene), out)
+    elif writer == "write_csv":
+        with pytest.raises(_WriteFailed):
+            write_csv([{"a": 1.5}, {"a": 2.5}, {"a": _Unprintable()}], out)
+    else:
+        def partial_dump(obj, f, **kwargs):
+            f.write("{\"profile\": ")
+            raise _WriteFailed
+        monkeypatch.setattr(cloiseg.cli.json, "dump", partial_dump)
+        with pytest.raises(_WriteFailed):
+            main(["synth", "--profile", "gapped", "--out", str(tmp_path / "new.pts"),
+                  "--manifest", str(out)])
+    assert out.read_text() == "earlier output\n"
+    assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
+def test_written_files_get_the_usual_mode(tmp_path):
+    scene = _synth(tmp_path)
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    out = tmp_path / "seg.pts"
+    assert main(["segment", str(scene), str(out)]) == 0
+    assert out.stat().st_mode == plain.stat().st_mode == scene.stat().st_mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain", "scene.pts", "seg.pts"]
 
 
 def test_sweep_modes_write_csv(tmp_path):

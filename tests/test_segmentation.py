@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from cloiseg import (
     RadiusIndex,
     SegmentationParams,
     connected_components,
+    generate_scene,
+    make_benchmark_suite,
     segment,
     segment_single_object,
     segment_with_details,
@@ -327,3 +331,51 @@ def test_instance_labeling_from_assignment_validation():
     assert lab.sizes().tolist() == [2, 1]
     with pytest.raises(ValueError):
         InstanceLabeling.from_assignment(np.array([0]), np.array([1, 1]))
+
+
+# -- where the points go -------------------------------------------------------
+
+def _assert_conservation(cloud, params):
+    labeling, details = segment_with_details(cloud, params)
+    boundary = int(details.boundary_flags.sum())
+    noise = int((labeling.assignment == NOISE).sum())
+    assert details.reattached_count + details.boundary_noise_count == boundary
+    assert sum(m.size for m in labeling.instances) + noise == len(cloud)
+    assert details.provisional_count - details.dropped_instances == labeling.n_instances
+    # NOISE is the unjoined boundary points plus the members of dropped instances
+    assert details.boundary_noise_count + details.dropped_points == noise
+    # counted independently: with mu = 1 nothing is dropped, so its instances
+    # are the provisional ones after reattachment
+    sizes = segment(cloud, replace(params, mu=1)).sizes()
+    assert sizes.size == details.provisional_count
+    assert details.dropped_instances == int((sizes < params.mu).sum())
+    assert details.dropped_points == int(sizes[sizes < params.mu].sum())
+    return details
+
+
+@pytest.mark.parametrize("profile", ["sparse", "dense", "cluttered", "refinery-like", "gapped"])
+def test_conservation_identities_on_profiles(profile):
+    (spec, _), = make_benchmark_suite(profile, seed=101)
+    cloud = generate_scene(spec)
+    details = _assert_conservation(cloud, SegmentationParams())
+    assert details.provisional_count > 0
+
+
+def test_conservation_identities_on_random_clouds(rng):
+    dropped = 0
+    for n in (1, 40, 300):
+        for params in (SegmentationParams(epsilon=0.06, mu=3),
+                       SegmentationParams(epsilon=0.08, mu=5, boundary_radius=0.03),
+                       SegmentationParams(epsilon=0.05, mu=10_000)):
+            dropped += _assert_conservation(_random_scene(rng, n), params).dropped_instances
+    assert dropped > 0
+
+
+def test_mu_drops_reported_for_a_small_blob():
+    pos = np.vstack([grid_blob((0, 0, 0), 30), grid_blob((0.5, 0, 0), 4)])
+    labeling, details = segment_with_details(make_cloud(pos, 3), SegmentationParams(mu=5))
+    counts = (details.provisional_count, details.dropped_instances, details.dropped_points)
+    assert counts == (2, 1, 4)
+    assert labeling.n_instances == 1
+    _, details = segment_with_details(make_cloud(np.empty((0, 3))))
+    assert (details.dropped_instances, details.dropped_points) == (0, 0)

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloiseg import RadiusIndex
 from conftest import grid_blob
-from oracles import brute_nearest_within, brute_radius_neighbors
+from oracles import brute_nearest_within, brute_radius_neighbors, distance_matrix_sq
 
 
 def test_empty_index():
@@ -88,6 +90,42 @@ def test_pairs_within_matches_brute_force(rng):
             if i < j:
                 expect.add((i, int(j)))
     assert got == expect
+
+
+@st.composite
+def _lattices_with_duplicates(draw):
+    """Lattice blobs whose spacing is the query radius or a fraction of it, plus copies."""
+    r = draw(st.sampled_from((0.01, 0.02, 0.03, 0.04)))
+    blocks = [grid_blob((draw(st.integers(0, 8)) * r, draw(st.integers(0, 3)) * 0.013, 0.0),
+                        draw(st.integers(1, 30)), spacing=r / draw(st.sampled_from((1, 2, 3))))
+              for _ in range(draw(st.integers(1, 3)))]
+    positions = np.vstack(blocks)
+    copies = draw(st.lists(st.integers(0, positions.shape[0] - 1), max_size=5))
+    return np.vstack([positions, positions[copies]]), r
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lattices_with_duplicates())
+def test_pairs_within_squared_distances_match_oracles(case):
+    positions, r = case
+    index = RadiusIndex(positions)
+    pairs, sq = index.pairs_within(r, squared_distances=True)
+    expect = {(i, int(j)) for i in range(positions.shape[0])
+              for j in brute_radius_neighbors(positions, i, r) if i < j}
+    assert len(pairs) == len(expect) and {tuple(p) for p in pairs.tolist()} == expect
+    assert {tuple(p) for p in index.pairs_within(r).tolist()} == expect
+    assert pairs.dtype == np.int64 and sq.shape == (pairs.shape[0],)
+    # the oracle matrix sums the squares in another order: equal to within 2 ulp
+    d2 = distance_matrix_sq(positions)[pairs[:, 0], pairs[:, 1]]
+    assert np.all(np.abs(sq - d2) <= 2 * np.spacing(d2))
+    dx, dy, dz = (positions[pairs[:, 0]] - positions[pairs[:, 1]]).T
+    assert np.array_equal(sq, dx * dx + dy * dy + dz * dz)
+    assert np.all(sq <= r * r)
+
+
+def test_pairs_within_squared_distances_empty_index():
+    pairs, sq = RadiusIndex(np.empty((0, 3))).pairs_within(1.0, squared_distances=True)
+    assert pairs.shape == (0, 2) and sq.shape == (0,)
 
 
 def _nearest(index, queries, cap, workers=1):

@@ -4,7 +4,10 @@ import csv
 import io
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloiseg import (
     ClassLabel,
@@ -16,14 +19,18 @@ from cloiseg import (
     facility_bias_report,
     generate_scene,
     make_benchmark_suite,
+    rec_ins,
     score,
     segment,
+    segment_single_object,
     sweep_epsilon,
     sweep_mu,
     sweep_radius_per_object,
     write_csv,
 )
-from cloiseg.sweep import rows_to_csv_text
+from cloiseg.sweep import RADIUS_SELECTION_TARGET, rows_to_csv_text
+from conftest import grid_blob, make_cloud
+from oracles import brute_components, brute_radius_neighbors
 
 
 @pytest.fixture(scope="module")
@@ -207,3 +214,125 @@ def test_write_csv_rejects_empty():
     buf = io.StringIO()
     with pytest.raises(ValueError):
         write_csv([], buf)
+
+
+# -- shared-work sweeps equal direct calls ------------------------------------
+
+GRID = (0.01, 0.02, 0.03, 0.04)
+
+
+@st.composite
+def lattice_scenes(draw):
+    """Touching or separate lattice objects, spaced at a grid radius, with duplicates.
+
+    Each object is one ground-truth instance of one class; one-point objects
+    and exact copies of points (distance 0) are common.
+    """
+    blocks, classes, gt = [], [], []
+    for k in range(draw(st.integers(1, 4))):
+        count = draw(st.sampled_from((1, 1, 2, 8, 27, 40)))
+        center = (draw(st.integers(0, 12)) * 0.01, k * draw(st.sampled_from((0.0, 0.03, 0.2))), 0.0)
+        blocks.append(grid_blob(center, count, spacing=draw(st.sampled_from(GRID))))
+        classes.append(np.full(count, draw(st.integers(0, 7))))
+        gt.append(np.full(count, k))
+    positions, classes, gt = np.vstack(blocks), np.concatenate(classes), np.concatenate(gt)
+    copies = draw(st.lists(st.integers(0, positions.shape[0] - 1), max_size=6))
+    return make_cloud(np.vstack([positions, positions[copies]]),
+                      np.concatenate([classes, classes[copies]]),
+                      np.concatenate([gt, gt[copies]]))
+
+
+def _sorted_grid(values, max_size):
+    return st.lists(values, min_size=1, max_size=max_size, unique=True).map(sorted)
+
+
+def _direct_mu_rows(cloud, epsilon, mus, threshold, boundary_radius):
+    rows = []
+    for mu in mus:
+        params = SegmentationParams(epsilon=epsilon, mu=mu, boundary_radius=boundary_radius)
+        report = score(segment(cloud, params), _gt(cloud), thresholds=(threshold,))
+        tm = report.by_threshold[threshold]
+        row: dict = {"mu": mu}
+        for c in ClassLabel:
+            row[f"prec_{c.name.lower()}"] = tm.per_class[c].precision
+            row[f"rec_{c.name.lower()}"] = tm.per_class[c].recall
+        row["m_prec"] = tm.mean_precision
+        row["m_rec"] = tm.mean_recall
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_scenes(), st.sampled_from(GRID),
+       _sorted_grid(st.integers(1, 60), 4), st.sampled_from((0.25, 0.5, 1.0)),
+       st.one_of(st.none(), st.sampled_from(GRID)))
+def test_sweep_mu_rows_equal_direct_runs(cloud, epsilon, mus, threshold, boundary_radius):
+    # mu up to 60 is often above every instance's size
+    got = sweep_mu(cloud, epsilon, mus, threshold, boundary_radius=boundary_radius)
+    want = _direct_mu_rows(cloud, epsilon, mus, threshold, boundary_radius)
+    assert rows_to_csv_text(got) == rows_to_csv_text(want)
+
+
+def test_sweep_mu_above_every_instance_drops_all(dense_cloud):
+    (row,) = sweep_mu(dense_cloud, 0.04, mus=(10 ** 9,))
+    assert row["m_rec"] == 0.0 and math.isnan(row["m_prec"])
+    assert rows_to_csv_text([row]) == rows_to_csv_text(
+        _direct_mu_rows(dense_cloud, 0.04, (10 ** 9,), 0.5, None))
+
+
+def _direct_radius_rows(cloud, epsilons, thresholds):
+    gt = _gt(cloud)
+    rows, selected = [], None
+    for eps in epsilons:
+        results = [segment_single_object(cloud.positions[m], eps) for m in gt.instances]
+        row: dict = {"epsilon": eps}
+        for t in thresholds:
+            row[f"m_rec_ins@{t:g}"] = rec_ins(results, t)
+        for c in ClassLabel:
+            of_class = [r for r, k in zip(results, gt.instance_classes) if k == int(c)]
+            row[f"rec_ins_{c.name.lower()}@0.5"] = rec_ins(of_class, 0.5) if of_class else math.nan
+        rows.append(row)
+        if selected is None and rec_ins(results, 0.5) >= RADIUS_SELECTION_TARGET:
+            selected = eps
+    return rows, selected
+
+
+def _brute_fragmentation(positions, eps):
+    n = positions.shape[0]
+    edges = [(i, int(j)) for i in range(n) for j in brute_radius_neighbors(positions, i, eps)]
+    sizes = [len(c) for c in brute_components(n, edges)]
+    return len(sizes), max(sizes) / n
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_scenes(), _sorted_grid(st.sampled_from((0.005, 0.01, 0.015) + GRID), 5),
+       _sorted_grid(st.sampled_from((0.25, 0.5, 0.75, 1.0)), 3))
+def test_sweep_radius_rows_equal_direct_runs(cloud, epsilons, thresholds):
+    got = sweep_radius_per_object(cloud, epsilons, thresholds)
+    want = _direct_radius_rows(cloud, epsilons, thresholds)
+    assert rows_to_csv_text(got[0]) == rows_to_csv_text(want[0])
+    assert got[1] == want[1]
+    # and the direct calls agree with the brute-force components
+    for members in _gt(cloud).instances:
+        for eps in epsilons:
+            res = segment_single_object(cloud.positions[members], eps)
+            count, largest = _brute_fragmentation(cloud.positions[members], eps)
+            assert (res.component_count, res.largest_fraction) == (count, largest)
+
+
+def test_sweep_radius_selects_without_the_half_threshold_column(dense_cloud):
+    rows, selected = sweep_radius_per_object(dense_cloud, (0.01, 0.04), thresholds=(0.25,))
+    assert list(rows[0]) == ["epsilon", "m_rec_ins@0.25"] + [
+        f"rec_ins_{c.name.lower()}@0.5" for c in ClassLabel]
+    assert selected == 0.01
+
+
+def test_sweep_radius_on_profiles_equals_direct_runs():
+    for profile in ("sparse", "gapped"):
+        (spec, _), = make_benchmark_suite(profile, seed=101)
+        cloud = generate_scene(spec)
+        for epsilons in ((0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07), (0.045,)):
+            got = sweep_radius_per_object(cloud, epsilons)
+            want = _direct_radius_rows(cloud, epsilons, (0.25, 0.5, 0.75))
+            assert rows_to_csv_text(got[0]) == rows_to_csv_text(want[0])
+            assert got[1] == want[1]
