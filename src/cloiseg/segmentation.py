@@ -6,6 +6,11 @@ reattach each boundary point to its nearest same-class instance (capped at
 3x the link radius), drop instances smaller than the minimum size to NOISE,
 then renumber canonically. Deterministic for a given input, independent of
 the number of worker threads.
+
+Linking keeps the epsilon-pairs whose two ends share a per-point link code
+(the class of an interior point, a unique negative sentinel otherwise), and
+a numpy union-find labels every point with the smallest member of its
+component, which is already the canonical order.
 """
 
 from __future__ import annotations
@@ -14,8 +19,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse import csgraph
 
 from .boundary import BoundaryParams, detect_class_boundaries, flags_from_pairs
 from .model import NOISE, LabeledPointCloud, canonical_instance_ids
@@ -140,46 +143,67 @@ def connected_components(
             raise ValueError("subset index out of range")
     if vertices.size == 0:
         return []
-    in_subset = np.zeros(n, dtype=bool)
-    in_subset[vertices] = True
+    code = _sentinel_codes(n)
+    code[vertices] = 0
+    labels = _component_labels(n, _link_filter(index.pairs_within(epsilon), code, predicate))
+    # smallest-member labels: a stable sort of the sorted vertices by label
+    # yields the components in canonical order, each with sorted members
+    sub = labels[vertices]
+    order = np.argsort(sub, kind="stable")
+    _, starts = np.unique(sub[order], return_index=True)
+    return np.split(vertices[order], starts[1:])
 
-    pairs = _link_filter(index.pairs_within(epsilon), in_subset, predicate)
-    labels = _component_labels(n, pairs)
-    return _group_by_label(labels, vertices)
+
+def _sentinel_codes(n: int) -> np.ndarray:
+    """Link code -1 - i for every point i: unique, so no pair links until codes are set."""
+    return -1 - np.arange(n, dtype=_index_dtype(n))
 
 
-def _link_filter(pairs: np.ndarray, vertex_mask: np.ndarray, predicate=None) -> np.ndarray:
-    """The pairs with both ends in ``vertex_mask`` that pass ``predicate(i, j)``."""
-    if pairs.size == 0:
-        return pairs
-    i, j = pairs[:, 0], pairs[:, 1]
-    keep = vertex_mask[i] & vertex_mask[j]
+def _index_dtype(n: int):
+    return np.int32 if n <= np.iinfo(np.int32).max else np.int64
+
+
+def _link_filter(pairs: np.ndarray, code: np.ndarray, predicate=None) -> np.ndarray:
+    """The pairs whose two ends share a link code and pass ``predicate(i, j)``.
+
+    Only pairs that pass the code test reach the predicate. The result has
+    ``code``'s dtype and keeps the input order.
+    """
+    keep = code[pairs[:, 0]] == code[pairs[:, 1]]
+    linked = np.empty((np.count_nonzero(keep), 2), dtype=code.dtype)
+    linked[:, 0] = pairs[:, 0][keep]
+    linked[:, 1] = pairs[:, 1][keep]
     if predicate is not None:
-        keep &= np.asarray(predicate(i, j), dtype=bool)
-    return pairs[keep]
+        linked = linked[np.asarray(predicate(linked[:, 0], linked[:, 1]), dtype=bool)]
+    return linked
 
 
 def _component_labels(n: int, pairs: np.ndarray) -> np.ndarray:
-    """Connected-component label per vertex of an n-vertex graph."""
-    if pairs.size == 0:
-        return np.arange(n, dtype=np.int64)
-    data = np.ones(pairs.shape[0], dtype=np.int8)
-    graph = coo_matrix((data, (pairs[:, 0], pairs[:, 1])), shape=(n, n))
-    _, labels = csgraph.connected_components(graph, directed=False)
-    return labels.astype(np.int64)
+    """Per vertex of an n-vertex graph, the smallest vertex of its component.
 
-
-def _group_by_label(labels: np.ndarray, vertices: np.ndarray) -> list[np.ndarray]:
-    """Group ``vertices`` by label, ordered by smallest member, members sorted."""
-    if vertices.size == 0:
-        return []
-    sub = labels[vertices]
-    order = np.argsort(sub, kind="stable")
-    sorted_v = vertices[order]
-    _, starts = np.unique(sub[order], return_index=True)
-    groups = [np.sort(sorted_v[s:e]) for s, e in zip(starts, np.append(starts[1:], sub.size))]
-    groups.sort(key=lambda g: int(g[0]))
-    return groups
+    ``pairs`` is an (M, 2) edge list in any order; repeated edges and self
+    loops are harmless. Hook and compress (Shiloach & Vishkin 1982): while an
+    edge joins two trees, hook each root under the smallest root it is linked
+    to, pointer-jump every vertex to its root and drop the edges inside one
+    tree. A parent is never larger than its vertex, so each root is the
+    smallest member of its tree and the labels do not depend on edge order.
+    """
+    parent = np.arange(n, dtype=_index_dtype(n))
+    lo = pairs[:, 0].astype(parent.dtype, copy=False)
+    hi = pairs[:, 1].astype(parent.dtype, copy=False)
+    while lo.size:
+        # an edge given larger end first hooks nothing until it is ordered below
+        np.minimum.at(parent, hi, lo)
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+        lo, hi = parent[lo], parent[hi]
+        live = lo != hi
+        lo, hi = lo[live], hi[live]
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    return parent
 
 
 def segment(
@@ -224,17 +248,20 @@ def _segment_before_mu(
         flags = detect_class_boundaries(cloud, index, BoundaryParams(r_b))
         pairs = index.pairs_within(eps)
 
+    # links join same-class interior points; boundary points keep a sentinel.
+    # Rebinding frees the unfiltered pairs before the labelling rounds.
     interior = ~flags
-    pairs = _link_filter(pairs, interior, lambda i, j: classes[i] == classes[j])
-
-    # provisional instances: components over interior points, canonical ids
+    code = _sentinel_codes(n)
+    code[interior] = classes[interior]
+    pairs = _link_filter(pairs, code)
     labels = _component_labels(n, pairs)
     del pairs
-    assignment = np.full(n, NOISE, dtype=np.int64)
-    interior_idx = np.nonzero(interior)[0]
-    assignment[interior_idx] = labels[interior_idx]
-    assignment = canonical_instance_ids(assignment)
-    provisional_count = int(assignment.max()) + 1 if interior_idx.size else 0
+
+    # provisional instances: a label is its component's smallest member, so
+    # ranking the interior roots numbers the instances canonically
+    roots = interior & (labels == np.arange(n))
+    provisional_count = int(np.count_nonzero(roots))
+    assignment = np.where(interior, (np.cumsum(roots) - 1)[labels], NOISE)
 
     reattached, boundary_noise = _reattach_boundary_points(
         cloud.positions, classes, flags, assignment, cap=REATTACH_CAP_FACTOR * eps,
@@ -313,14 +340,16 @@ def _fragmentation_by_radius(
     pairs, sq = RadiusIndex(positions).pairs_within(float(epsilons[-1]), squared_distances=True)
     band = np.searchsorted(epsilons * epsilons, sq, side="left")
     del sq
-    labels = np.arange(n, dtype=np.int64)
+    labels = np.arange(n)
     results = []
     for k in range(epsilons.size):
-        # links between points already together are dropped; repeats are harmless
+        # each band links the components of the radius before; links inside
+        # one component are dropped first. Labels stay smallest members, so
+        # the components are the nonzero counts
         links = labels[pairs[band == k]]
         links = links[links[:, 0] != links[:, 1]]
         if links.size:
-            labels = _component_labels(int(labels.max()) + 1, links)[labels]
+            labels = _component_labels(n, links)[labels]
         sizes = np.bincount(labels)
-        results.append(SingleObjectResult(int(sizes.size), float(sizes.max() / n)))
+        results.append(SingleObjectResult(int(np.count_nonzero(sizes)), float(sizes.max() / n)))
     return results

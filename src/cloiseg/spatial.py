@@ -8,7 +8,6 @@ is safe to share across threads.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 
 class RadiusIndex:
@@ -22,6 +21,9 @@ class RadiusIndex:
             raise ValueError(f"positions must have shape (N, 3), got {positions.shape}")
         if not np.isfinite(positions).all():
             raise ValueError("positions must be finite")
+        # imported here, so that commands which build no index never load scipy
+        from scipy.spatial import cKDTree
+
         self.positions = positions
         self._tree = cKDTree(positions)
 

@@ -13,8 +13,9 @@ NOISE = -1
 
 
 def distance_matrix_sq(positions: np.ndarray) -> np.ndarray:
-    diff = positions[:, None, :] - positions[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    """Squared distances summed as dx*dx + dy*dy + dz*dz, the order of every oracle here."""
+    dx, dy, dz = (positions[:, None, :] - positions[None, :, :]).transpose(2, 0, 1)
+    return dx * dx + dy * dy + dz * dz
 
 
 def brute_radius_neighbors(positions: np.ndarray, i: int, r: float) -> np.ndarray:

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,3 +323,13 @@ def test_threads_flag_and_env_do_not_change_output(tmp_path, monkeypatch):
     monkeypatch.setenv("CLOI_SEG_THREADS", "2")
     assert main(["segment", str(scene), str(out_env)]) == 0
     assert out_env.read_bytes() == outs[0]
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy.spatial loads with the first RadiusIndex; eval, stats and synth build none
+    src = str(Path(cloiseg.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, cloiseg.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloiseg import (
     NOISE,
@@ -17,8 +19,9 @@ from cloiseg import (
     segment_single_object,
     segment_with_details,
 )
+from cloiseg.segmentation import _component_labels
 from conftest import grid_blob, make_cloud
-from oracles import brute_components, brute_segment
+from oracles import brute_components, brute_segment, distance_matrix_sq
 
 
 def test_params_validation():
@@ -195,6 +198,70 @@ def test_components_out_of_range_subset(rng):
         connected_components(index, 0.1, subset=[7])
 
 
+# -- component labelling -------------------------------------------------------
+
+def _smallest_member_labels(n, edges):
+    want = np.arange(n)
+    for comp in brute_components(n, edges):
+        want[sorted(comp)] = min(comp)
+    return want
+
+
+@st.composite
+def edge_lists(draw):
+    """Edges in either order, with repeats, self loops and isolated vertices."""
+    n = draw(st.integers(1, 40))
+    ends = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(ends, ends), max_size=3 * n))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=10)) if edges else []
+    dtype = draw(st.sampled_from((np.int32, np.int64)))
+    return n, np.array(edges, dtype=dtype).reshape(-1, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists())
+def test_component_labels_match_brute_force(case):
+    n, pairs = case
+    labels = _component_labels(n, pairs)
+    assert labels.tolist() == _smallest_member_labels(n, pairs.tolist()).tolist()
+
+
+def _path(order):
+    return np.stack([order[:-1], order[1:]], axis=1)
+
+
+ADVERSARIAL_N = 100_000
+
+
+def _zigzag(n):
+    order = np.empty(n, dtype=np.int64)
+    order[0::2] = np.arange((n + 1) // 2)
+    order[1::2] = np.arange(n - 1, (n + 1) // 2 - 1, -1)
+    return order
+
+
+@pytest.mark.parametrize("graph", ["increasing", "decreasing", "random", "zigzag", "star"])
+def test_component_labels_adversarial_id_orders(graph):
+    n = ADVERSARIAL_N
+    if graph == "star":
+        # centred on the largest id, so every leaf is smaller than the hub
+        leaves = np.random.default_rng(5).permutation(n - 1)
+        pairs = np.stack([leaves, np.full(n - 1, n - 1)], axis=1)
+    else:
+        order = {"increasing": np.arange(n), "decreasing": np.arange(n)[::-1],
+                 "random": np.random.default_rng(5).permutation(n), "zigzag": _zigzag(n)}[graph]
+        # two paths and an isolated vertex: cut the order in three
+        pairs = np.vstack([_path(order[: n // 2]), _path(order[n // 2: -1])])
+    labels = _component_labels(n, pairs)
+    assert labels.tolist() == _smallest_member_labels(n, pairs.tolist()).tolist()
+    assert np.unique(labels).size == (1 if graph == "star" else 3)
+
+
+def test_component_labels_without_edges():
+    assert _component_labels(4, np.empty((0, 2), dtype=np.int64)).tolist() == [0, 1, 2, 3]
+    assert _component_labels(0, np.empty((0, 2), dtype=np.int64)).size == 0
+
+
 # -- segment_single_object ------------------------------------------------------
 
 def test_single_object_dense_line():
@@ -264,6 +331,79 @@ def test_reattachment_cap_is_closed():
     assert labeling.assignment.tolist() == [0, 0, 0, 0, 0, NOISE]
     assert labeling.assignment.tolist() == brute_segment(pos, classes, 0.25, 1).tolist()
     assert (details.reattached_count, details.boundary_noise_count) == (1, 1)
+
+
+def _radius_at_exactly(sq):
+    """A radius r with r * r == sq, or None where no double squares to sq."""
+    r = float(np.sqrt(sq))
+    for candidate in (r, np.nextafter(r, 0.0), np.nextafter(r, 1.0)):
+        if candidate * candidate == sq:
+            return float(candidate)
+    return None
+
+
+def test_epsilon_at_a_pairs_own_distance_matches_oracle(rng):
+    # epsilon is a point's distance to its nearest neighbour, exactly: that
+    # pair links (or flags) only if both sides sum the squares alike
+    cloud = make_cloud(rng.random((150, 3)) * 0.5, rng.integers(0, 2, 150))
+    pos = cloud.positions
+    sq = distance_matrix_sq(pos)
+    np.fill_diagonal(sq, np.inf)
+    tested = 0
+    for i in range(150):
+        eps = _radius_at_exactly(sq[i].min())
+        if eps is None:
+            continue
+        tested += 1
+        for r_b in (None, eps / 2):
+            got = segment(cloud, SegmentationParams(epsilon=eps, mu=1, boundary_radius=r_b))
+            want = brute_segment(pos, cloud.class_labels, eps, 1, r_b)
+            assert got.assignment.tolist() == want.tolist()
+    assert tested > 50
+
+
+TIE_GRID = (0.01, 0.02, 0.03, 0.04)
+
+
+@st.composite
+def tie_scenes(draw):
+    """Lattices spaced at exactly epsilon, other-class points at exactly r_b.
+
+    Also single-class clouds and all-boundary clouds (every point has an
+    other-class copy at distance 0); r_b is epsilon or another grid value.
+    """
+    eps = draw(st.sampled_from(TIE_GRID))
+    r_b = draw(st.one_of(st.none(), st.sampled_from(TIE_GRID)))
+    blocks, classes = [], []
+    for k in range(draw(st.integers(1, 3))):
+        count = draw(st.sampled_from((1, 2, 8, 27)))
+        center = (draw(st.integers(0, 6)) * eps, k * draw(st.sampled_from((0, 1, 3))) * eps, 0.0)
+        blocks.append(grid_blob(center, count, spacing=eps))
+        classes.append(np.full(count, draw(st.integers(0, 2))))
+    pos, classes = np.vstack(blocks), np.concatenate(classes)
+    kind = draw(st.sampled_from(("intruders", "single-class", "all-boundary")))
+    if kind == "single-class":
+        classes[:] = classes[0]
+    elif kind == "all-boundary":
+        pos, classes = np.vstack([pos, pos]), np.concatenate([classes, classes + 1])
+    else:
+        hosts = draw(st.lists(st.integers(0, pos.shape[0] - 1), max_size=4))
+        axis = np.eye(3)[draw(st.integers(0, 2))]
+        pos = np.vstack([pos, pos[hosts] + (eps if r_b is None else r_b) * axis])
+        classes = np.concatenate([classes, classes[hosts] + 3])
+    return make_cloud(pos, classes), eps, r_b, kind
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_scenes(), st.sampled_from((1, 2, 5)))
+def test_segment_matches_oracle_on_tie_geometry(scene, mu):
+    cloud, eps, r_b, kind = scene
+    params = SegmentationParams(epsilon=eps, mu=mu, boundary_radius=r_b)
+    want = brute_segment(cloud.positions, cloud.class_labels, eps, mu, r_b)
+    for workers in (1, 2, 3):
+        assert segment(cloud, params, workers=workers).assignment.tolist() == want.tolist()
+    if kind == "all-boundary":
+        assert (want == NOISE).all()
 
 
 def test_class_purity(rng):

@@ -115,11 +115,8 @@ def test_pairs_within_squared_distances_match_oracles(case):
     assert len(pairs) == len(expect) and {tuple(p) for p in pairs.tolist()} == expect
     assert {tuple(p) for p in index.pairs_within(r).tolist()} == expect
     assert pairs.dtype == np.int64 and sq.shape == (pairs.shape[0],)
-    # the oracle matrix sums the squares in another order: equal to within 2 ulp
-    d2 = distance_matrix_sq(positions)[pairs[:, 0], pairs[:, 1]]
-    assert np.all(np.abs(sq - d2) <= 2 * np.spacing(d2))
-    dx, dy, dz = (positions[pairs[:, 0]] - positions[pairs[:, 1]]).T
-    assert np.array_equal(sq, dx * dx + dy * dy + dz * dz)
+    # the oracle matrix sums the squares in the same x, y, z order
+    assert np.array_equal(sq, distance_matrix_sq(positions)[pairs[:, 0], pairs[:, 1]])
     assert np.all(sq <= r * r)
 
 
