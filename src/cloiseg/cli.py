@@ -92,11 +92,10 @@ class RunConfig:
         params = SegmentationParams(epsilon=epsilon, mu=get("mu", 20),
                                     boundary_radius=boundary_radius)
         boundary = BoundaryParams(boundary_radius if boundary_radius is not None else epsilon)
-        thresholds = tuple(get("thresholds") or THRESHOLDS)
         threshold = float(get("threshold", 0.5))
-        grids = SweepSpec(epsilons=tuple(get("epsilons") or DEFAULT_EPSILONS),
-                          mus=tuple(get("mus") or DEFAULT_MUS),
-                          thresholds=thresholds)
+        grids = SweepSpec(epsilons=get("epsilons", DEFAULT_EPSILONS),
+                          mus=get("mus", DEFAULT_MUS),
+                          thresholds=get("thresholds", THRESHOLDS))
         if not 0 < threshold <= 1:
             raise ValueError(f"threshold must be in (0, 1], got {threshold}")
         threads = get("threads")
@@ -119,7 +118,7 @@ class RunConfig:
             output=get("output"),
             params=params,
             boundary=boundary,
-            thresholds=thresholds,
+            thresholds=grids.thresholds,
             threshold=threshold,
             epsilons=grids.epsilons,
             mus=grids.mus,

@@ -65,9 +65,6 @@ class Point3:
             if not np.isfinite(v):
                 raise ValueError(f"coordinates must be finite, got {(self.x, self.y, self.z)}")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=np.float64)
-
 
 @dataclass(frozen=True)
 class PointRecord:
@@ -83,43 +80,56 @@ class PointRecord:
     pred_instance: int | None = None
 
 
+class CloudValueError(ValueError):
+    """A value breaks a :class:`LabeledPointCloud` rule; ``index`` is its point."""
+
+    def __init__(self, index: int, reason: str):
+        self.index, self.reason = index, reason
+        super().__init__(f"{reason} at point {index}")
+
+
+def _require(ok: np.ndarray, reason: str) -> None:
+    """Raise :class:`CloudValueError` at the first point (row of ``ok``) with a False."""
+    if not ok.all():
+        raise CloudValueError(int(np.argmin(ok.reshape(len(ok), -1).all(axis=1))), reason)
+
+
+def _group_instances(ids, class_labels=None, reason="instance mixes class labels"):
+    """``(canonical ids, smallest member of each instance)`` from one ``np.unique`` pass.
+
+    Ids < 0 become NOISE. With ``class_labels``, the first point whose class
+    differs from its instance's smallest member raises :class:`CloudValueError`.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    canonical = np.full(ids.shape, NOISE, dtype=np.int64)
+    assigned = np.flatnonzero(ids >= 0)
+    _, first, inv = np.unique(ids[assigned], return_index=True, return_inverse=True)
+    instance = np.argsort(np.argsort(first))[inv]
+    canonical[assigned] = instance
+    first = assigned[np.sort(first)]
+    if class_labels is not None:
+        bad = np.flatnonzero(class_labels[assigned] != class_labels[first][instance])
+        if bad.size:
+            raise CloudValueError(int(assigned[bad[0]]), reason)
+    return canonical, first
+
+
 def canonical_instance_ids(ids: np.ndarray) -> np.ndarray:
     """Relabel non-negative ids to 0..K-1 by ascending smallest member index.
 
     NOISE entries are preserved. Idempotent.
     """
-    ids = np.asarray(ids, dtype=np.int64)
-    out = np.full(ids.shape, NOISE, dtype=np.int64)
-    mask = ids >= 0
-    if not mask.any():
-        return out
-    _, first, inv = np.unique(ids[mask], return_index=True, return_inverse=True)
-    order = np.argsort(first, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    out[mask] = rank[inv]
-    return out
-
-
-def _first_class_conflict(class_labels: np.ndarray, instance_ids: np.ndarray) -> int | None:
-    """Index of the first point whose class disagrees with its instance, or None."""
-    mask = instance_ids >= 0
-    if not mask.any():
-        return None
-    cls = class_labels[mask]
-    _, first, inv = np.unique(instance_ids[mask], return_index=True, return_inverse=True)
-    bad = np.nonzero(cls != cls[first][inv])[0]
-    if bad.size == 0:
-        return None
-    return int(np.nonzero(mask)[0][bad[0]])
+    return _group_instances(ids)[0]
 
 
 class LabeledPointCloud:
     """Ordered set of labeled 3D points.
 
-    Attributes are plain numpy arrays and must be treated as immutable after
-    construction; all deriving operations return new clouds. Ground-truth and
-    predicted instance ids are canonicalized on construction.
+    Attributes are plain numpy arrays, immutable after construction; deriving
+    operations return new clouds. The constructor is the one home of the value
+    rules, for ground truth and predictions alike: finite coordinates, class
+    codes in [0,7], instance ids >= -1, class-pure instances. It raises
+    :class:`CloudValueError` on a violation and canonicalizes instance ids.
     """
 
     def __init__(
@@ -133,40 +143,29 @@ class LabeledPointCloud:
         if positions.ndim != 2 or positions.shape[1] != 3:
             raise ValueError(f"positions must have shape (N, 3), got {positions.shape}")
         n = positions.shape[0]
-        if not np.isfinite(positions).all():
-            i = int(np.nonzero(~np.isfinite(positions).all(axis=1))[0][0])
-            raise ValueError(f"non-finite coordinate at point {i}")
+        _require(np.isfinite(positions), "non-finite coordinate")
 
         class_labels = np.asarray(class_labels, dtype=np.int64)
         if class_labels.shape != (n,):
             raise ValueError("class_labels must have one entry per point")
-        if n and (class_labels.min() < 0 or class_labels.max() > 7):
-            i = int(np.nonzero((class_labels < 0) | (class_labels > 7))[0][0])
-            raise ValueError(f"class code out of range [0,7] at point {i}")
-
-        if gt_instance is None:
-            gt_instance = np.full(n, NOISE, dtype=np.int64)
-        else:
-            gt_instance = np.asarray(gt_instance, dtype=np.int64)
-            if gt_instance.shape != (n,):
-                raise ValueError("gt_instance must have one entry per point")
-            if n and gt_instance.min() < NOISE:
-                i = int(np.nonzero(gt_instance < NOISE)[0][0])
-                raise ValueError(f"instance id must be >= -1 at point {i}")
-        conflict = _first_class_conflict(class_labels, gt_instance)
-        if conflict is not None:
-            raise ValueError(f"mixed-class ground-truth instance at point {conflict}")
-
-        if pred_instance is not None:
-            pred_instance = np.asarray(pred_instance, dtype=np.int64)
-            if pred_instance.shape != (n,):
-                raise ValueError("pred_instance must have one entry per point")
-            pred_instance = canonical_instance_ids(pred_instance)
+        _require((class_labels >= 0) & (class_labels <= 7), "class code outside [0,7]")
 
         self.positions = positions
         self.class_labels = class_labels
-        self.gt_instance = canonical_instance_ids(gt_instance)
-        self.pred_instance = pred_instance
+        self.gt_instance = self._instance_ids(
+            np.full(n, NOISE) if gt_instance is None else gt_instance, "gt_instance",
+            "instance id below -1", "ground-truth instance mixes class labels")
+        self.pred_instance = None if pred_instance is None else self._instance_ids(
+            pred_instance, "pred_instance",
+            "predicted instance id below -1", "predicted instance mixes class labels")
+
+    def _instance_ids(self, ids, name: str, below: str, mixed: str) -> np.ndarray:
+        """One instance column, checked against the rules and canonicalized."""
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.shape != self.class_labels.shape:
+            raise ValueError(f"{name} must have one entry per point")
+        _require(ids >= NOISE, below)
+        return _group_instances(ids, self.class_labels, mixed)[0]
 
     def __len__(self) -> int:
         return self.positions.shape[0]
@@ -211,46 +210,33 @@ class LabeledPointCloud:
 # ---------------------------------------------------------------------------
 
 def _validate_table(path, table: np.ndarray, first_data_line: int) -> LabeledPointCloud:
-    """Build a cloud from a parsed (N, 5|6) float table, reporting bad lines."""
-    n, ncol = table.shape
-    coords = table[:, :3]
-    bad = ~np.isfinite(coords).all(axis=1)
-    if bad.any():
-        row = int(np.nonzero(bad)[0][0])
-        raise PtsParseError(path, first_data_line + row, "non-finite coordinate")
+    """Build a cloud from a parsed (N, 5|6) float table, reporting bad lines.
 
-    def _int_column(col: np.ndarray, name: str, lo: int) -> np.ndarray:
+    Text adds one rule to the cloud's own: label columns hold integers. Any
+    rule the cloud rejects is reported at the line of its point.
+    """
+    labels = []
+    for k, name in zip(range(3, table.shape[1]),
+                       ("class code", "instance id", "predicted instance id")):
+        col = table[:, k]
         ok = np.isfinite(col) & (col == np.floor(col)) & (np.abs(col) < 2**53)
         if not ok.all():
-            row = int(np.nonzero(~ok)[0][0])
-            raise PtsParseError(path, first_data_line + row, f"non-integer {name}")
-        ival = col.astype(np.int64)
-        below = ival < lo
-        if below.any():
-            row = int(np.nonzero(below)[0][0])
-            raise PtsParseError(path, first_data_line + row, f"{name} below {lo}")
-        return ival
-
-    classes = _int_column(table[:, 3], "class code", 0)
-    if n and classes.max() > 7:
-        row = int(np.nonzero(classes > 7)[0][0])
-        raise PtsParseError(path, first_data_line + row, "class code outside [0,7]")
-    gt = _int_column(table[:, 4], "instance id", NOISE)
-    pred = _int_column(table[:, 5], "instance id", NOISE) if ncol == 6 else None
-
-    conflict = _first_class_conflict(classes, gt)
-    if conflict is not None:
-        raise PtsParseError(path, first_data_line + conflict,
-                            "ground-truth instance mixes class labels")
-    return LabeledPointCloud(coords, classes, gt, pred)
+            raise PtsParseError(path, first_data_line + int(np.argmin(ok)), f"non-integer {name}")
+        labels.append(col.astype(np.int64))
+    try:
+        return LabeledPointCloud(table[:, :3], *labels)
+    except CloudValueError as exc:
+        raise PtsParseError(path, first_data_line + exc.index, exc.reason) from None
 
 
 def _parse_table(path, lines: list[str], first_data_line: int, widths=(5, 6)) -> np.ndarray:
-    """Parse non-empty ``lines`` into a float table with one of ``widths`` columns.
+    """Parse ``lines`` into a float table with one of ``widths`` columns.
 
     A fast bulk parse is tried first; on any failure a line-by-line pass
     pinpoints the malformed line.
     """
+    if not lines:
+        return np.empty((0, widths[0]))
     try:
         table = np.loadtxt(lines, dtype=np.float64, ndmin=2)
         if table.shape[0] == len(lines) and table.shape[1] in widths:
@@ -296,8 +282,6 @@ def load_pts(path) -> LabeledPointCloud:
         lines.pop()
     if len(lines) != n:
         raise PtsParseError(path, None, f"header declares n={n} but file has {len(lines)} data lines")
-    if n == 0:
-        return LabeledPointCloud(np.empty((0, 3)), np.empty(0, dtype=np.int64))
     return _validate_table(path, _parse_table(path, lines, 2), first_data_line=2)
 
 
@@ -390,8 +374,7 @@ def load_ply(path) -> LabeledPointCloud:
         raise PtsParseError(path, None,
                             f"header declares {n_vertex} vertices but file has {len(lines)}")
     first_data_line = line_no + 1
-    data = (_parse_table(path, lines, first_data_line, widths=(len(properties),))
-            if n_vertex else np.empty((0, len(properties))))
+    data = _parse_table(path, lines, first_data_line, widths=(len(properties),))
     col = {name: data[:, i] for i, name in enumerate(properties)}
     table = np.column_stack([col["x"], col["y"], col["z"],
                              col.get("class", np.zeros(n_vertex)),

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .boundary import BoundaryParams, detect_class_boundaries, flags_from_pairs
-from .model import NOISE, LabeledPointCloud, canonical_instance_ids
+from .model import NOISE, LabeledPointCloud, _group_instances
 from .spatial import RadiusIndex
 
 #: Boundary points farther than this multiple of epsilon from every
@@ -69,24 +69,14 @@ class InstanceLabeling:
 
     @classmethod
     def from_assignment(cls, assignment: np.ndarray, class_labels: np.ndarray) -> "InstanceLabeling":
-        assignment = canonical_instance_ids(np.asarray(assignment, dtype=np.int64))
         class_labels = np.asarray(class_labels, dtype=np.int64)
-        if assignment.shape != class_labels.shape:
+        if np.shape(assignment) != class_labels.shape:
             raise ValueError("assignment and class labels must have equal length")
-        k = int(assignment.max()) + 1 if assignment.size and assignment.max() >= 0 else 0
-        members: list[np.ndarray] = []
-        inst_cls = np.empty(k, dtype=np.int64)
-        order = np.argsort(assignment, kind="stable")
-        assigned = order[assignment[order] >= 0]
-        bounds = np.searchsorted(assignment[assigned], np.arange(k + 1))
-        for g in range(k):
-            idx = np.sort(assigned[bounds[g]:bounds[g + 1]])
-            classes = np.unique(class_labels[idx])
-            if classes.size != 1:
-                raise ValueError(f"instance {g} mixes class labels {classes.tolist()}")
-            members.append(idx)
-            inst_cls[g] = classes[0]
-        return cls(assignment, tuple(members), inst_cls)
+        assignment, first = _group_instances(assignment, class_labels)
+        # a stable sort by instance keeps each instance's members ascending
+        members = np.argsort(assignment, kind="stable")[np.count_nonzero(assignment < 0):]
+        bounds = np.cumsum(np.bincount(assignment[members], minlength=first.size))
+        return cls(assignment, tuple(np.split(members, bounds)[:-1]), class_labels[first])
 
     @property
     def n_instances(self) -> int:

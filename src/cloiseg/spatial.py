@@ -10,6 +10,12 @@ from __future__ import annotations
 import numpy as np
 
 
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise squared distances, summed as ``dx*dx + dy*dy + dz*dz``."""
+    dx, dy, dz = (a - b).T
+    return dx * dx + dy * dy + dz * dz
+
+
 class RadiusIndex:
     """Balanced spatial partition supporting exact fixed-radius queries."""
 
@@ -57,9 +63,7 @@ class RadiusIndex:
             return self._tree.query_pairs(r, output_type="ndarray").astype(np.int64, copy=False)
         # the tree only shortlists, a hair wider than r; the rule is applied here
         pairs = self._tree.query_pairs(r * (1.0 + 1e-9), output_type="ndarray")
-        delta = self.positions[pairs[:, 0]] - self.positions[pairs[:, 1]]
-        dx, dy, dz = delta.T
-        sq = dx * dx + dy * dy + dz * dz
+        sq = _squared_distances(self.positions[pairs[:, 0]], self.positions[pairs[:, 1]])
         keep = sq <= r * r
         return pairs[keep].astype(np.int64, copy=False), sq[keep]
 
@@ -88,8 +92,7 @@ class RadiusIndex:
         counts = np.fromiter(map(len, found), dtype=np.int64, count=hit.size)
         rows = np.repeat(hit, counts)
         cands = np.fromiter((j for js in found for j in js), dtype=np.int64, count=rows.size)
-        delta = self.positions[cands] - points[rows]
-        sq = np.einsum("ij,ij->i", delta, delta)
+        sq = _squared_distances(self.positions[cands], points[rows])
         best = np.repeat(np.minimum.reduceat(sq, np.cumsum(counts) - counts), counts)
         keep = (sq == best) & (best <= cap * cap)
         return rows[keep], cands[keep]

@@ -61,6 +61,16 @@ def test_invalid_parameter_value_exits_one(tmp_path, capsys):
     assert not (tmp_path / "out.pts").exists()
 
 
+@pytest.mark.parametrize("argv", [["sweep", "--mode", "mu", "--mus", "", "missing.pts"],
+                                  ["sweep", "--mode", "epsilon", "--epsilons", "", "missing.pts"],
+                                  ["eval", "--thresholds", ",", "missing.pts", "missing.pts"]],
+                         ids=["mus", "epsilons", "thresholds"])
+def test_empty_grid_exits_one(argv, capsys):
+    # an empty grid is rejected before any file is touched, not replaced by the default
+    assert main(argv) == 1
+    assert "grid must be non-empty" in capsys.readouterr().err
+
+
 def test_quiet_flag_suppresses_status(tmp_path, capsys):
     out = tmp_path / "scene.pts"
     assert main(["synth", "--profile", "dense", "--seed", "1",
@@ -309,6 +319,17 @@ def test_ply_value_errors_name_the_line(tmp_path, capsys):
         ply.write_text(header + body)
         assert main(["stats", str(ply)]) == 2
         assert f"{ply}:{line}: {message}" in capsys.readouterr().err
+
+
+def test_eval_prediction_errors_name_the_line(tmp_path, capsys):
+    gt = tmp_path / "g.pts"
+    gt.write_text("cloi-pts v1 n=2\n0 0 0 1 0\n1 0 0 3 1\n")
+    pred = tmp_path / "p.pts"
+    for rows, message in (("0 0 0 1 0 4\n1 0 0 3 1 4\n", "predicted instance mixes class labels"),
+                          ("0 0 0 1 0 0\n1 0 0 3 1 -3\n", "predicted instance id below -1")):
+        pred.write_text("cloi-pts v1 n=2\n" + rows)
+        assert main(["eval", str(pred), str(gt)]) == 2
+        assert f"{pred}:3: {message}" in capsys.readouterr().err
 
 
 def test_threads_flag_and_env_do_not_change_output(tmp_path, monkeypatch):

@@ -36,8 +36,15 @@ def test_cloud_rejects_bad_class_codes():
 
 
 def test_cloud_rejects_mixed_class_instance():
-    with pytest.raises(ValueError, match="mixed-class"):
+    with pytest.raises(ValueError, match="ground-truth instance mixes class labels"):
         make_cloud([[0, 0, 0], [1, 0, 0]], classes=[1, 2], gt=[0, 0])
+
+
+def test_cloud_checks_predictions_like_ground_truth():
+    with pytest.raises(ValueError, match="predicted instance id below -1 at point 0"):
+        make_cloud([[0, 0, 0], [1, 0, 0]], classes=[1, 1], pred=[-5, 0])
+    with pytest.raises(ValueError, match="predicted instance mixes class labels at point 1"):
+        make_cloud([[0, 0, 0], [1, 0, 0]], classes=[1, 2], pred=[3, 3])
 
 
 def test_gt_ids_canonicalized_on_construction():
@@ -103,6 +110,13 @@ def test_load_reports_mixed_class_instance_line(tmp_path):
     p.write_text("cloi-pts v1 n=3\n0 0 0 3 7\n1 0 0 3 8\n2 0 0 1 7\n")
     with pytest.raises(PtsParseError, match=":4"):
         load_pts(p)
+    # the prediction column is held to the same rules
+    p.write_text("cloi-pts v1 n=3\n0 0 0 3 0 5\n1 0 0 3 0 9\n2 0 0 1 1 5\n")
+    with pytest.raises(PtsParseError, match=r"bad\.pts:4: predicted instance mixes class labels$"):
+        load_pts(p)
+    p.write_text("cloi-pts v1 n=2\n0 0 0 3 0 0\n1 0 0 3 0 -2\n")
+    with pytest.raises(PtsParseError, match=r"bad\.pts:3: predicted instance id below -1$"):
+        load_pts(p)
 
 
 def test_load_reports_ragged_line(tmp_path):
@@ -123,6 +137,9 @@ def test_load_rejects_fractional_ids(tmp_path):
     p = tmp_path / "bad.pts"
     p.write_text("cloi-pts v1 n=1\n0 0 0 3 1.5\n")
     with pytest.raises(PtsParseError, match="non-integer"):
+        load_pts(p)
+    p.write_text("cloi-pts v1 n=2\n0 0 0 3 1 1\n0 0 0 3 1 0.5\n")
+    with pytest.raises(PtsParseError, match=r"bad\.pts:3: non-integer predicted instance id"):
         load_pts(p)
 
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cloiseg import (
@@ -21,7 +21,7 @@ from cloiseg import (
 )
 from cloiseg.segmentation import _component_labels
 from conftest import grid_blob, make_cloud
-from oracles import brute_components, brute_segment, distance_matrix_sq
+from oracles import brute_components, brute_segment, canonicalize, distance_matrix_sq
 
 
 def test_params_validation():
@@ -471,6 +471,31 @@ def test_instance_labeling_from_assignment_validation():
     assert lab.sizes().tolist() == [2, 1]
     with pytest.raises(ValueError):
         InstanceLabeling.from_assignment(np.array([0]), np.array([1, 1]))
+
+
+_ID = st.one_of(st.just(NOISE), st.integers(-4, 6), st.integers(-2**63, 2**63 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_ID, st.integers(0, 7)), max_size=40))
+@example([])
+@example([(NOISE, 3), (-9, 0), (-2**63, 7)])
+def test_from_assignment_groups_like_the_oracle(points):
+    ids = np.array([i for i, _ in points], dtype=np.int64)
+    # an assigned point takes its class from its id, so every instance is pure
+    classes = np.array([i % 8 if i >= 0 else c for i, c in points], dtype=np.int64)
+    lab = InstanceLabeling.from_assignment(ids, classes)
+    expect = canonicalize(ids)
+    assert lab.assignment.tolist() == expect.tolist()
+    k = int(expect.max()) + 1 if (expect >= 0).any() else 0
+    assert lab.n_instances == k
+    for g, members in enumerate(lab.instances):
+        assert members.dtype == np.int64
+        assert members.tolist() == np.flatnonzero(expect == g).tolist()
+        assert lab.instance_classes[g] == classes[members[0]]
+    firsts = [int(m[0]) for m in lab.instances]
+    assert firsts == sorted(firsts)
+    assert lab.instance_classes.shape == (k,)
 
 
 # -- where the points go -------------------------------------------------------

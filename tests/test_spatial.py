@@ -168,6 +168,16 @@ def test_nearest_within_cap_is_closed():
     assert _nearest(index, query, np.nextafter(0.75, 0)) == []
 
 
+def test_nearest_within_sums_squares_in_xyz_order():
+    # summed as dx*dx + dy*dy + dz*dz this distance squared is exactly cap**2;
+    # summed in another order it is one ulp above, and the point is lost
+    point = np.array([[0.08401534358238483, 0.8326441476533978, 0.7870983074886834]])
+    query = np.array([[0.23936944299295215, 0.8764842308107038, 0.05856803480519435]])
+    cap = 0.746199174022048
+    assert brute_nearest_within(point, query, cap) == [(0, 0)]
+    assert _nearest(RadiusIndex(point), query, cap) == [(0, 0)]
+
+
 def test_nearest_within_empty_inputs():
     empty = RadiusIndex(np.empty((0, 3)))
     assert _nearest(empty, np.zeros((4, 3)), 1.0) == []
