@@ -24,12 +24,9 @@ from .model import (
     NOISE,
     ClassLabel,
     LabeledPointCloud,
-    Point3,
-    PointRecord,
     PtsParseError,
     canonical_instance_ids,
     class_histogram,
-    farthest_point_subsample,
     load_ply,
     load_pts,
     save_pts,
@@ -72,9 +69,9 @@ __all__ = [
     "detect_class_boundaries", "detect_gt_instance_boundaries",
     "THRESHOLDS", "ClassMetrics", "EvalReport", "MatchedPair", "MatchResult",
     "ThresholdMetrics", "iou", "match_instances", "rec_ins", "score",
-    "CLOI_CLASSES", "NOISE", "ClassLabel", "LabeledPointCloud", "Point3",
-    "PointRecord", "PtsParseError", "canonical_instance_ids", "class_histogram",
-    "farthest_point_subsample", "load_ply", "load_pts", "save_pts",
+    "CLOI_CLASSES", "NOISE", "ClassLabel", "LabeledPointCloud",
+    "PtsParseError", "canonical_instance_ids", "class_histogram",
+    "load_ply", "load_pts", "save_pts",
     "InstanceLabeling", "SegmentationDetails", "SegmentationParams",
     "SingleObjectResult", "connected_components", "segment",
     "segment_single_object", "segment_with_details",

@@ -1,7 +1,8 @@
 """Geometric boundary labeling of points.
 
 A point is a class boundary when some neighbor within the boundary radius
-carries a different class label; ground-truth instance boundaries are the
+carries a different class label, that is, when its nearest point of another
+class lies within the radius; ground-truth instance boundaries are the
 analogous notion over instance ids. Both are pure functions of the cloud and
 independent of evaluation order.
 """
@@ -34,23 +35,36 @@ class BoundaryStats(NamedTuple):
     ratio: float
 
 
-def flags_from_pairs(n: int, pairs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Flag both ends of every neighbor pair whose labels differ."""
-    flags = np.zeros(n, dtype=bool)
-    if pairs.size:
-        differ = labels[pairs[:, 0]] != labels[pairs[:, 1]]
-        flags[pairs[differ].ravel()] = True
+def _class_boundary_flags(
+    positions: np.ndarray, classes: np.ndarray, radius: float, workers: int = 1
+) -> np.ndarray:
+    """Per point: does its nearest other-class point lie within ``radius`` (inclusive)?
+
+    For each class, ``nearest_within`` queries its points against a tree over
+    every other class; the rows it returns are exactly the boundary points.
+    """
+    flags = np.zeros(classes.shape, dtype=bool)
+    for c in np.unique(classes):
+        own = classes == c
+        if own.all():
+            break
+        members = np.flatnonzero(own)
+        rows, _ = RadiusIndex(positions[~own]).nearest_within(positions[members], radius,
+                                                              workers=workers)
+        flags[members[rows]] = True
     return flags
 
 
 def detect_class_boundaries(
     cloud: LabeledPointCloud, index: RadiusIndex, params: BoundaryParams
 ) -> np.ndarray:
-    """Boolean flag per point: has a different-class neighbor within the radius."""
+    """Boolean flag per point: has a different-class neighbor within the radius.
+
+    ``index`` must be built over ``cloud``; the flags come from per-class trees.
+    """
     if len(index) != len(cloud):
         raise ValueError("index was not built over this cloud")
-    pairs = index.pairs_within(params.radius)
-    return flags_from_pairs(len(cloud), pairs, cloud.class_labels)
+    return _class_boundary_flags(cloud.positions, cloud.class_labels, params.radius)
 
 
 def detect_gt_instance_boundaries(
@@ -62,7 +76,10 @@ def detect_gt_instance_boundaries(
     if len(cloud) and not cloud.has_ground_truth:
         raise ValueError("ground-truth instance ids are required on every point")
     pairs = index.pairs_within(params.radius)
-    return flags_from_pairs(len(cloud), pairs, cloud.gt_instance)
+    gt = cloud.gt_instance
+    flags = np.zeros(len(cloud), dtype=bool)
+    flags[pairs[gt[pairs[:, 0]] != gt[pairs[:, 1]]].ravel()] = True
+    return flags
 
 
 def boundary_stats(flags: np.ndarray) -> BoundaryStats:

@@ -1,18 +1,18 @@
 """Core data model and file I/O for class-labeled industrial point clouds.
 
-A cloud is stored columnar (numpy arrays) for speed; per-point access goes
-through :class:`PointRecord`. Instance ids are kept in canonical form:
+A cloud is stored columnar (numpy arrays), one array per attribute.
+Instance ids are kept in canonical form:
 instances are numbered 0..K-1 by ascending smallest member point index,
 ``NOISE`` (-1) marks unassigned/absent.
 """
 
 from __future__ import annotations
 
+import copy
 import os
 import re
 import secrets
 from contextlib import contextmanager
-from dataclasses import dataclass
 from enum import IntEnum
 from itertools import islice
 from pathlib import Path
@@ -50,34 +50,6 @@ class PtsParseError(ValueError):
         self.line_no = line_no
         where = f"{self.path}:{line_no}" if line_no is not None else self.path
         super().__init__(f"{where}: {message}")
-
-
-@dataclass(frozen=True)
-class Point3:
-    """A finite 3D position in meters."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        for v in (self.x, self.y, self.z):
-            if not np.isfinite(v):
-                raise ValueError(f"coordinates must be finite, got {(self.x, self.y, self.z)}")
-
-
-@dataclass(frozen=True)
-class PointRecord:
-    """One point of a labeled cloud.
-
-    ``gt_instance``/``pred_instance`` are ``None`` when the cloud carries no
-    such column; ``pred_instance == NOISE`` means segmented but unassigned.
-    """
-
-    position: Point3
-    class_label: ClassLabel
-    gt_instance: int | None = None
-    pred_instance: int | None = None
 
 
 class CloudValueError(ValueError):
@@ -155,9 +127,7 @@ class LabeledPointCloud:
         self.gt_instance = self._instance_ids(
             np.full(n, NOISE) if gt_instance is None else gt_instance, "gt_instance",
             "instance id below -1", "ground-truth instance mixes class labels")
-        self.pred_instance = None if pred_instance is None else self._instance_ids(
-            pred_instance, "pred_instance",
-            "predicted instance id below -1", "predicted instance mixes class labels")
+        self.pred_instance = None if pred_instance is None else self._predictions(pred_instance)
 
     def _instance_ids(self, ids, name: str, below: str, mixed: str) -> np.ndarray:
         """One instance column, checked against the rules and canonicalized."""
@@ -166,6 +136,10 @@ class LabeledPointCloud:
             raise ValueError(f"{name} must have one entry per point")
         _require(ids >= NOISE, below)
         return _group_instances(ids, self.class_labels, mixed)[0]
+
+    def _predictions(self, ids) -> np.ndarray:
+        return self._instance_ids(ids, "pred_instance", "predicted instance id below -1",
+                                  "predicted instance mixes class labels")
 
     def __len__(self) -> int:
         return self.positions.shape[0]
@@ -179,18 +153,6 @@ class LabeledPointCloud:
     def has_predictions(self) -> bool:
         return self.pred_instance is not None
 
-    def record(self, i: int) -> PointRecord:
-        if not 0 <= i < len(self):
-            raise IndexError(f"point index {i} out of range for cloud of size {len(self)}")
-        gt = int(self.gt_instance[i])
-        pred = None if self.pred_instance is None else int(self.pred_instance[i])
-        return PointRecord(
-            position=Point3(*self.positions[i]),
-            class_label=ClassLabel(int(self.class_labels[i])),
-            gt_instance=None if gt == NOISE else gt,
-            pred_instance=pred,
-        )
-
     def take(self, indices) -> "LabeledPointCloud":
         """New cloud of the given points, in the given order."""
         idx = np.asarray(indices, dtype=np.int64)
@@ -202,7 +164,10 @@ class LabeledPointCloud:
         )
 
     def with_predictions(self, assignment: np.ndarray) -> "LabeledPointCloud":
-        return LabeledPointCloud(self.positions, self.class_labels, self.gt_instance, assignment)
+        """This cloud with a new prediction column; only that column is checked."""
+        cloud = copy.copy(self)
+        cloud.pred_instance = self._predictions(assignment)
+        return cloud
 
 
 # ---------------------------------------------------------------------------
@@ -383,32 +348,8 @@ def load_ply(path) -> LabeledPointCloud:
 
 
 # ---------------------------------------------------------------------------
-# Subsampling and statistics
+# Statistics
 # ---------------------------------------------------------------------------
-
-def farthest_point_subsample(cloud: LabeledPointCloud, k: int, seed: int) -> LabeledPointCloud:
-    """Farthest-point subsample of ``k`` points.
-
-    The first point is a seeded uniform draw; every further point maximizes
-    its minimum distance to the selected set (ties broken by lowest index).
-    Labels are carried through unchanged; output is in selection order.
-    """
-    n = len(cloud)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    pos = cloud.positions
-    selected = np.empty(k, dtype=np.int64)
-    selected[0] = int(rng.integers(n))
-    dist = np.linalg.norm(pos - pos[selected[0]], axis=1)
-    dist[selected[0]] = -np.inf
-    for m in range(1, k):
-        i = int(np.argmax(dist))
-        selected[m] = i
-        dist = np.minimum(dist, np.linalg.norm(pos - pos[i], axis=1))
-        dist[i] = -np.inf
-    return cloud.take(selected)
-
 
 def class_histogram(cloud: LabeledPointCloud) -> Mapping[ClassLabel, tuple[int, int]]:
     """Per-class (instance count, point count); requires ground truth."""

@@ -7,10 +7,12 @@ reattach each boundary point to its nearest same-class instance (capped at
 then renumber canonically. Deterministic for a given input, independent of
 the number of worker threads.
 
-Linking keeps the epsilon-pairs whose two ends share a per-point link code
-(the class of an interior point, a unique negative sentinel otherwise), and
-a numpy union-find labels every point with the smallest member of its
-component, which is already the canonical order.
+Each step is per class. A point is a boundary point when its nearest point
+of another class lies within the boundary radius, one rule for every radius.
+Links are enumerated over a tree on one class's interior points, so pairs
+across classes or with a boundary point never arise, and a numpy union-find
+labels each point with the smallest member of its component, which is
+already the canonical order.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boundary import BoundaryParams, detect_class_boundaries, flags_from_pairs
+from .boundary import _class_boundary_flags
 from .model import NOISE, LabeledPointCloud, _group_instances
 from .spatial import RadiusIndex
 
@@ -31,7 +33,7 @@ REATTACH_CAP_FACTOR = 3.0
 
 @dataclass(frozen=True)
 class SegmentationParams:
-    """Link radius epsilon (m), minimum instance size mu (points), boundary radius (m).
+    """Link radius epsilon (m), minimum instance size mu (whole points), boundary radius (m).
 
     ``boundary_radius=None`` tracks epsilon. Defaults are the tuned optimum
     for industrial scans: epsilon 4cm, mu 20 points.
@@ -44,8 +46,8 @@ class SegmentationParams:
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.mu < 1:
-            raise ValueError(f"mu must be >= 1, got {self.mu}")
+        if self.mu < 1 or not float(self.mu).is_integer():
+            raise ValueError(f"mu must be an integer >= 1, got {self.mu}")
         if self.boundary_radius is not None and not self.boundary_radius > 0:
             raise ValueError(f"boundary radius must be positive, got {self.boundary_radius}")
 
@@ -124,48 +126,42 @@ def connected_components(
     the transitive closure of the edge relation; components are sorted by
     smallest member and returned as sorted index arrays.
     """
-    n = len(index)
     if subset is None:
-        vertices = np.arange(n, dtype=np.int64)
+        vertices = np.arange(len(index), dtype=np.int64)
     else:
         vertices = np.unique(np.asarray(subset, dtype=np.int64))
-        if vertices.size and (vertices[0] < 0 or vertices[-1] >= n):
+        if vertices.size and (vertices[0] < 0 or vertices[-1] >= len(index)):
             raise ValueError("subset index out of range")
+        index = RadiusIndex(index.positions[vertices])
     if vertices.size == 0:
         return []
-    code = _sentinel_codes(n)
-    code[vertices] = 0
-    labels = _component_labels(n, _link_filter(index.pairs_within(epsilon), code, predicate))
     # smallest-member labels: a stable sort of the sorted vertices by label
     # yields the components in canonical order, each with sorted members
-    sub = labels[vertices]
-    order = np.argsort(sub, kind="stable")
-    _, starts = np.unique(sub[order], return_index=True)
+    labels = _smallest_members(index, vertices, epsilon, predicate)
+    order = np.argsort(labels, kind="stable")
+    _, starts = np.unique(labels[order], return_index=True)
     return np.split(vertices[order], starts[1:])
 
 
-def _sentinel_codes(n: int) -> np.ndarray:
-    """Link code -1 - i for every point i: unique, so no pair links until codes are set."""
-    return -1 - np.arange(n, dtype=_index_dtype(n))
+def _smallest_members(
+    index: RadiusIndex, members: np.ndarray, epsilon: float, predicate=None
+) -> np.ndarray:
+    """Per point of ``index``, the smallest of ``members`` in its epsilon-component.
+
+    ``index`` holds the points with ascending global ids ``members``, in that
+    order; ``predicate(i, j)`` filters the pairs by global id. The labelling
+    runs on local ids, and mapping a local smallest member back through the
+    ascending ids gives the global smallest member.
+    """
+    pairs = index.pairs_within(epsilon)
+    if predicate is not None:
+        pairs = pairs[np.asarray(predicate(members[pairs[:, 0]], members[pairs[:, 1]]),
+                                 dtype=bool)]
+    return members[_component_labels(len(index), pairs)]
 
 
 def _index_dtype(n: int):
     return np.int32 if n <= np.iinfo(np.int32).max else np.int64
-
-
-def _link_filter(pairs: np.ndarray, code: np.ndarray, predicate=None) -> np.ndarray:
-    """The pairs whose two ends share a link code and pass ``predicate(i, j)``.
-
-    Only pairs that pass the code test reach the predicate. The result has
-    ``code``'s dtype and keeps the input order.
-    """
-    keep = code[pairs[:, 0]] == code[pairs[:, 1]]
-    linked = np.empty((np.count_nonzero(keep), 2), dtype=code.dtype)
-    linked[:, 0] = pairs[:, 0][keep]
-    linked[:, 1] = pairs[:, 1][keep]
-    if predicate is not None:
-        linked = linked[np.asarray(predicate(linked[:, 0], linked[:, 1]), dtype=bool)]
-    return linked
 
 
 def _component_labels(n: int, pairs: np.ndarray) -> np.ndarray:
@@ -227,25 +223,15 @@ def _segment_before_mu(
         return np.empty(0, dtype=np.int64), SegmentationDetails(np.zeros(0, dtype=bool), 0, 0, 0)
     workers = workers or -1
     eps = params.epsilon
-    r_b = params.resolved_boundary_radius
-    classes = cloud.class_labels
+    positions, classes = cloud.positions, cloud.class_labels
+    flags = _class_boundary_flags(positions, classes, params.resolved_boundary_radius, workers)
 
-    index = RadiusIndex(cloud.positions)
-    if r_b == eps:
-        pairs = index.pairs_within(eps)
-        flags = flags_from_pairs(n, pairs, classes)
-    else:
-        flags = detect_class_boundaries(cloud, index, BoundaryParams(r_b))
-        pairs = index.pairs_within(eps)
-
-    # links join same-class interior points; boundary points keep a sentinel.
-    # Rebinding frees the unfiltered pairs before the labelling rounds.
+    # links join same-class interior points: one tree per class, on those alone
     interior = ~flags
-    code = _sentinel_codes(n)
-    code[interior] = classes[interior]
-    pairs = _link_filter(pairs, code)
-    labels = _component_labels(n, pairs)
-    del pairs
+    labels = np.arange(n)
+    for c in np.unique(classes[interior]):
+        members = np.flatnonzero(interior & (classes == c))
+        labels[members] = _smallest_members(RadiusIndex(positions[members]), members, eps)
 
     # provisional instances: a label is its component's smallest member, so
     # ranking the interior roots numbers the instances canonically
@@ -254,7 +240,7 @@ def _segment_before_mu(
     assignment = np.where(interior, (np.cumsum(roots) - 1)[labels], NOISE)
 
     reattached, boundary_noise = _reattach_boundary_points(
-        cloud.positions, classes, flags, assignment, cap=REATTACH_CAP_FACTOR * eps,
+        positions, classes, flags, assignment, cap=REATTACH_CAP_FACTOR * eps,
         workers=workers,
     )
     return assignment, SegmentationDetails(flags, provisional_count, reattached, boundary_noise)

@@ -50,6 +50,13 @@ def _check_grid(values: Sequence[float], name: str, minimum: float) -> tuple:
     return values
 
 
+def _check_mus(mus: Sequence[int]) -> tuple[int, ...]:
+    mus = _check_grid(mus, "mu", minimum=1)
+    if not all(float(m).is_integer() for m in mus):
+        raise ValueError("mu grid values must be integers")
+    return tuple(int(m) for m in mus)
+
+
 class SweepSpec:
     """Validated parameter grids for a sweep run."""
 
@@ -60,7 +67,7 @@ class SweepSpec:
         thresholds: Sequence[float] = THRESHOLDS,
     ):
         self.epsilons = _check_grid(epsilons, "epsilon", minimum=1e-12)
-        self.mus = tuple(int(m) for m in _check_grid(mus, "mu", minimum=1))
+        self.mus = _check_mus(mus)
         self.thresholds = _check_grid(thresholds, "threshold", minimum=1e-12)
 
 
@@ -83,7 +90,7 @@ def sweep_mu(
     Each row equals ``segment`` with that mu plus ``score``. The size filter
     is the last stage, so the stages before it run once for the whole grid.
     """
-    mus = tuple(int(m) for m in _check_grid(mus, "mu", minimum=1))
+    mus = _check_mus(mus)
     gt = _gt_labeling(cloud)
     params = SegmentationParams(epsilon=epsilon, mu=mus[0], boundary_radius=boundary_radius)
     unfiltered, _ = _segment_before_mu(cloud, params, workers)

@@ -333,17 +333,21 @@ def test_eval_prediction_errors_name_the_line(tmp_path, capsys):
 
 
 def test_threads_flag_and_env_do_not_change_output(tmp_path, monkeypatch):
+    # workers reach the class-boundary query of segment at any boundary radius;
+    # the boundary command is pinned too
     scene = _synth(tmp_path, profile="cluttered")
-    outs = []
-    for i, threads in enumerate(("1", "4")):
-        out = tmp_path / f"seg{i}.pts"
-        assert main(["segment", "--threads", threads, str(scene), str(out)]) == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
-    out_env = tmp_path / "seg_env.pts"
-    monkeypatch.setenv("CLOI_SEG_THREADS", "2")
-    assert main(["segment", str(scene), str(out_env)]) == 0
-    assert out_env.read_bytes() == outs[0]
+    for command in (["segment"], ["segment", "--boundary-radius", "0.03"], ["boundary"]):
+        outs = []
+        for i, threads in enumerate(("1", "4")):
+            out = tmp_path / f"out{i}.pts"
+            assert main([*command, "--threads", threads, str(scene), str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1], command
+        out_env = tmp_path / "out_env.pts"
+        monkeypatch.setenv("CLOI_SEG_THREADS", "2")
+        assert main([*command, str(scene), str(out_env)]) == 0
+        monkeypatch.delenv("CLOI_SEG_THREADS")
+        assert out_env.read_bytes() == outs[0], command
 
 
 def test_importing_the_cli_loads_no_scipy():

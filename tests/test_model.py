@@ -6,23 +6,15 @@ import pytest
 from cloiseg import (
     NOISE,
     ClassLabel,
-    Point3,
     PtsParseError,
     canonical_instance_ids,
     class_histogram,
-    farthest_point_subsample,
     load_ply,
     load_pts,
     save_pts,
 )
+from cloiseg.model import CloudValueError
 from conftest import clouds_equal, make_cloud
-
-
-def test_point3_rejects_non_finite():
-    with pytest.raises(ValueError):
-        Point3(0.0, float("nan"), 1.0)
-    with pytest.raises(ValueError):
-        Point3(float("inf"), 0.0, 1.0)
 
 
 def test_cloud_rejects_non_finite_positions():
@@ -47,6 +39,18 @@ def test_cloud_checks_predictions_like_ground_truth():
         make_cloud([[0, 0, 0], [1, 0, 0]], classes=[1, 2], pred=[3, 3])
 
 
+def test_with_predictions_checks_only_the_new_column():
+    cloud = make_cloud([[0, 0, 0], [1, 0, 0], [2, 0, 0]], classes=[1, 1, 2], gt=[4, 4, 7])
+    out = cloud.with_predictions(np.array([9, 9, 3]))
+    assert out.pred_instance.tolist() == [0, 0, 1]
+    assert out.positions is cloud.positions and out.gt_instance is cloud.gt_instance
+    assert cloud.pred_instance is None
+    with pytest.raises(CloudValueError, match="predicted instance id below -1 at point 1"):
+        cloud.with_predictions(np.array([0, -2, 1]))
+    with pytest.raises(CloudValueError, match="predicted instance mixes class labels at point 2"):
+        cloud.with_predictions(np.array([0, 0, 0]))
+
+
 def test_gt_ids_canonicalized_on_construction():
     cloud = make_cloud(np.zeros((4, 3)) + np.arange(4)[:, None],
                        classes=[1, 2, 1, 2], gt=[9, 5, 9, 5])
@@ -58,17 +62,6 @@ def test_canonical_instance_ids_idempotent_and_noise_preserving():
     out = canonical_instance_ids(ids)
     assert out.tolist() == [0, NOISE, 1, 0, 1, 2]
     assert np.array_equal(canonical_instance_ids(out), out)
-
-
-def test_record_access():
-    cloud = make_cloud([[1, 2, 3]], classes=[3], gt=[0])
-    rec = cloud.record(0)
-    assert rec.position == Point3(1.0, 2.0, 3.0)
-    assert rec.class_label is ClassLabel.CYLINDER
-    assert rec.gt_instance == 0
-    assert rec.pred_instance is None
-    with pytest.raises(IndexError):
-        cloud.record(1)
 
 
 # -- CLOI-PTS ---------------------------------------------------------------
@@ -295,95 +288,6 @@ def test_load_ply_rejects_binary(tmp_path):
     p.write_text("ply\nformat binary_little_endian 1.0\nend_header\n")
     with pytest.raises(PtsParseError, match="ASCII"):
         load_ply(p)
-
-
-# -- farthest point subsampling ----------------------------------------------
-
-def _fps_oracle(positions: np.ndarray, start: int, k: int) -> list[int]:
-    selected = [start]
-    while len(selected) < k:
-        best, best_d = None, -1.0
-        for i in range(len(positions)):
-            if i in selected:
-                continue
-            d = min(float(np.linalg.norm(positions[i] - positions[s])) for s in selected)
-            if d > best_d:
-                best, best_d = i, d
-        selected.append(best)
-    return selected
-
-
-def test_fps_square_corners_recovered_from_any_corner_start():
-    pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0.5, 0.5, 0]], dtype=float)
-    cloud = make_cloud(pts, classes=[1] * 5, gt=[0, 0, 0, 0, 0])
-    # enumerate the oracle over every possible start
-    for start in range(4):
-        assert sorted(_fps_oracle(pts, start, 4)) == [0, 1, 2, 3]
-    # and drive the seeded implementation until every corner start was seen
-    starts_seen = set()
-    for seed in range(64):
-        sub = farthest_point_subsample(cloud, 4, seed)
-        start = int(np.nonzero((cloud.positions == sub.positions[0]).all(axis=1))[0][0])
-        starts_seen.add(start)
-        if start < 4:
-            chosen = {tuple(p) for p in sub.positions}
-            assert chosen == {tuple(p) for p in pts[:4]}
-        if starts_seen >= {0, 1, 2, 3}:
-            break
-    assert starts_seen >= {0, 1, 2, 3}
-
-
-def test_fps_matches_oracle(rng):
-    pos = rng.random((40, 3))
-    cloud = make_cloud(pos)
-    for seed in range(5):
-        sub = farthest_point_subsample(cloud, 12, seed)
-        start = int(np.nonzero((pos == sub.positions[0]).all(axis=1))[0][0])
-        expect = _fps_oracle(pos, start, 12)
-        got = [int(np.nonzero((pos == q).all(axis=1))[0][0]) for q in sub.positions]
-        assert got == expect
-
-
-def test_fps_k_equals_n_returns_whole_cloud_as_set(rng):
-    pos = rng.random((15, 3))
-    cloud = make_cloud(pos)
-    sub = farthest_point_subsample(cloud, 15, seed=3)
-    assert {tuple(p) for p in sub.positions} == {tuple(p) for p in pos}
-
-
-def test_fps_k_one_and_argument_errors(rng):
-    cloud = make_cloud(rng.random((5, 3)))
-    assert len(farthest_point_subsample(cloud, 1, seed=0)) == 1
-    with pytest.raises(ValueError):
-        farthest_point_subsample(cloud, 0, seed=0)
-    with pytest.raises(ValueError):
-        farthest_point_subsample(cloud, 6, seed=0)
-
-
-def test_fps_no_duplicates_and_beats_random_subsets(rng):
-    pos = rng.random((200, 3))
-    cloud = make_cloud(pos)
-    sub = farthest_point_subsample(cloud, 20, seed=9)
-    assert len({tuple(p) for p in sub.positions}) == 20
-
-    def min_pairwise(p):
-        d = np.linalg.norm(p[:, None, :] - p[None, :, :], axis=-1)
-        return d[np.triu_indices(len(p), 1)].min()
-
-    fps_d = min_pairwise(sub.positions)
-    wins = sum(fps_d >= min_pairwise(pos[rng.choice(200, 20, replace=False)])
-               for _ in range(25))
-    assert wins >= 20  # sanity trend, not a strict law
-
-
-def test_fps_carries_labels_through(rng):
-    pos = rng.random((30, 3))
-    classes = rng.integers(0, 8, 30)
-    cloud = make_cloud(pos, classes, gt=classes.copy())
-    sub = farthest_point_subsample(cloud, 10, seed=1)
-    for q, c in zip(sub.positions, sub.class_labels):
-        i = int(np.nonzero((pos == q).all(axis=1))[0][0])
-        assert classes[i] == c
 
 
 # -- class histogram ----------------------------------------------------------

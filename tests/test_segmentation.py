@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from cloiseg import (
     NOISE,
+    BoundaryParams,
     InstanceLabeling,
     RadiusIndex,
     SegmentationParams,
     connected_components,
+    detect_class_boundaries,
     generate_scene,
     make_benchmark_suite,
     segment,
@@ -21,12 +23,22 @@ from cloiseg import (
 )
 from cloiseg.segmentation import _component_labels
 from conftest import grid_blob, make_cloud
-from oracles import brute_components, brute_segment, canonicalize, distance_matrix_sq
+from oracles import (
+    brute_class_boundaries,
+    brute_components,
+    brute_segment,
+    canonicalize,
+    distance_matrix_sq,
+)
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
         SegmentationParams(epsilon=0.0)
+    for mu in (1860.5, float("nan")):
+        with pytest.raises(ValueError, match="mu must be an integer"):
+            SegmentationParams(mu=mu)
+    assert SegmentationParams(mu=20.0).mu == 20
     with pytest.raises(ValueError):
         SegmentationParams(mu=0)
     with pytest.raises(ValueError):
@@ -344,22 +356,35 @@ def _radius_at_exactly(sq):
 
 def test_epsilon_at_a_pairs_own_distance_matches_oracle(rng):
     # epsilon is a point's distance to its nearest neighbour, exactly: that
-    # pair links (or flags) only if both sides sum the squares alike
+    # pair links (or flags) only if both sides sum the squares alike. r_b is
+    # likewise a point's distance to its nearest other-class point, or one
+    # ulp either side of it
     cloud = make_cloud(rng.random((150, 3)) * 0.5, rng.integers(0, 2, 150))
-    pos = cloud.positions
+    pos, classes = cloud.positions, cloud.class_labels
+    index = RadiusIndex(pos)
     sq = distance_matrix_sq(pos)
     np.fill_diagonal(sq, np.inf)
-    tested = 0
+    other_sq = np.where(classes[:, None] != classes[None, :], sq, np.inf)
+    tested = tested_r_b = 0
     for i in range(150):
         eps = _radius_at_exactly(sq[i].min())
-        if eps is None:
+        if eps is not None:
+            tested += 1
+            for r_b in (None, eps / 2):
+                got = segment(cloud, SegmentationParams(epsilon=eps, mu=1, boundary_radius=r_b))
+                want = brute_segment(pos, classes, eps, 1, r_b)
+                assert got.assignment.tolist() == want.tolist()
+        r = _radius_at_exactly(other_sq[i].min())
+        if r is None or tested_r_b == 50:
             continue
-        tested += 1
-        for r_b in (None, eps / 2):
-            got = segment(cloud, SegmentationParams(epsilon=eps, mu=1, boundary_radius=r_b))
-            want = brute_segment(pos, cloud.class_labels, eps, 1, r_b)
-            assert got.assignment.tolist() == want.tolist()
-    assert tested > 50
+        tested_r_b += 1
+        for r_b in (r, float(np.nextafter(r, 0.0)), float(np.nextafter(r, np.inf))):
+            flags = detect_class_boundaries(cloud, index, BoundaryParams(r_b))
+            assert flags.tolist() == brute_class_boundaries(pos, classes, r_b).tolist()
+            params = SegmentationParams(epsilon=0.05, mu=1, boundary_radius=r_b)
+            want = brute_segment(pos, classes, 0.05, 1, r_b)
+            assert segment(cloud, params, workers=1).assignment.tolist() == want.tolist()
+    assert tested > 50 and tested_r_b == 50
 
 
 TIE_GRID = (0.01, 0.02, 0.03, 0.04)

@@ -50,6 +50,8 @@ def test_sweep_spec_validation():
         SweepSpec(epsilons=(0.02, 0.01))
     with pytest.raises(ValueError):
         SweepSpec(mus=(0,))
+    with pytest.raises(ValueError, match="integers"):
+        SweepSpec(mus=(10, 20.5))
     spec = SweepSpec()
     assert spec.epsilons[0] == 0.01 and spec.mus[-1] == 200
 
@@ -93,6 +95,12 @@ def test_sweep_mu_trends_on_noisy_scene():
     assert all(b >= a - 1e-12 for a, b in zip(precs, precs[1:]))
     assert all(b <= a + 1e-12 for a, b in zip(recs, recs[1:]))
     assert precs[-1] > precs[0]  # the 30-point tails are filtered by mu=50
+
+
+def test_sweep_mu_rejects_a_non_integer_mu(dense_cloud):
+    # a fractional mu must not run, and be reported, as its truncation
+    with pytest.raises(ValueError, match="integers"):
+        sweep_mu(dense_cloud, 0.04, mus=(1860.5,))
 
 
 def test_sweep_mu_recall_non_increasing_with_unsorted_grid_rejected(dense_cloud):
