@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__
-from .boundary import BoundaryParams, detect_class_boundaries, detect_gt_instance_boundaries
+from .boundary import BoundaryParams, _class_boundary_flags, detect_gt_instance_boundaries
 from .evaluation import THRESHOLDS, score
 from .model import (
     ClassLabel,
@@ -69,7 +69,6 @@ class RunConfig:
     inputs: tuple[str, ...]
     output: str | None
     params: SegmentationParams
-    boundary: BoundaryParams
     thresholds: tuple[float, ...]
     threshold: float
     epsilons: tuple[float, ...]
@@ -87,11 +86,8 @@ class RunConfig:
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
         get = lambda name, default=None: getattr(args, name, default)
-        epsilon = get("epsilon", 0.04)
-        boundary_radius = get("boundary_radius")
-        params = SegmentationParams(epsilon=epsilon, mu=get("mu", 20),
-                                    boundary_radius=boundary_radius)
-        boundary = BoundaryParams(boundary_radius if boundary_radius is not None else epsilon)
+        params = SegmentationParams(epsilon=get("epsilon", 0.04), mu=get("mu", 20),
+                                    boundary_radius=get("boundary_radius"))
         threshold = float(get("threshold", 0.5))
         grids = SweepSpec(epsilons=get("epsilons", DEFAULT_EPSILONS),
                           mus=get("mus", DEFAULT_MUS),
@@ -117,7 +113,6 @@ class RunConfig:
             inputs=tuple(inputs),
             output=get("output"),
             params=params,
-            boundary=boundary,
             thresholds=grids.thresholds,
             threshold=threshold,
             epsilons=grids.epsilons,
@@ -230,11 +225,12 @@ def _cmd_synth(cfg: RunConfig) -> int:
 
 def _cmd_boundary(cfg: RunConfig) -> int:
     cloud = _load(cfg.inputs[0])
-    index = RadiusIndex(cloud.positions)
+    radius = cfg.params.resolved_boundary_radius
     if cfg.gt_boundaries:
-        flags = detect_gt_instance_boundaries(cloud, index, cfg.boundary)
+        flags = detect_gt_instance_boundaries(cloud, RadiusIndex(cloud.positions),
+                                              BoundaryParams(radius))
     else:
-        flags = detect_class_boundaries(cloud, index, cfg.boundary)
+        flags = _class_boundary_flags(cloud.positions, cloud.class_labels, radius, cfg.threads)
     save_pts(cloud, cfg.output, include_predictions=cloud.has_predictions, extra_column=flags)
     cfg.log(f"flagged {int(flags.sum())} of {len(cloud)} points")
     return 0

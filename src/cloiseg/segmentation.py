@@ -9,10 +9,12 @@ the number of worker threads.
 
 Each step is per class. A point is a boundary point when its nearest point
 of another class lies within the boundary radius, one rule for every radius.
-Links are enumerated over a tree on one class's interior points, so pairs
-across classes or with a boundary point never arise, and a numpy union-find
-labels each point with the smallest member of its component, which is
-already the canonical order.
+One tree over a class's interior points serves both of its other steps:
+links are enumerated over it, so pairs across classes or with a boundary
+point never arise, and the class's boundary points then query it for their
+nearest instance. A numpy union-find labels each interior point with the
+smallest member of its component, a boundary point takes the label of the
+instance it joins, and ranking those labels once gives the canonical order.
 """
 
 from __future__ import annotations
@@ -226,24 +228,40 @@ def _segment_before_mu(
     positions, classes = cloud.positions, cloud.class_labels
     flags = _class_boundary_flags(positions, classes, params.resolved_boundary_radius, workers)
 
-    # links join same-class interior points: one tree per class, on those alone
-    interior = ~flags
-    labels = np.arange(n)
-    for c in np.unique(classes[interior]):
-        members = np.flatnonzero(interior & (classes == c))
-        labels[members] = _smallest_members(RadiusIndex(positions[members]), members, eps)
+    # labels are smallest members of provisional instances, or NOISE
+    labels = np.full(n, NOISE, dtype=np.int64)
+    for c in np.unique(classes[~flags]):
+        _label_class(positions, np.flatnonzero(classes == c), flags, labels, eps, workers)
 
-    # provisional instances: a label is its component's smallest member, so
-    # ranking the interior roots numbers the instances canonically
-    roots = interior & (labels == np.arange(n))
-    provisional_count = int(np.count_nonzero(roots))
-    assignment = np.where(interior, (np.cumsum(roots) - 1)[labels], NOISE)
+    # a label is its instance's smallest member, an interior point, so
+    # ranking the roots numbers the instances canonically
+    roots = labels == np.arange(n)
+    assigned = labels >= 0
+    assignment = np.where(assigned, np.cumsum(roots)[labels] - 1, NOISE)
+    reattached = int(np.count_nonzero(flags & assigned))
+    return assignment, SegmentationDetails(flags, int(np.count_nonzero(roots)), reattached,
+                                           int(np.count_nonzero(flags)) - reattached)
 
-    reattached, boundary_noise = _reattach_boundary_points(
-        positions, classes, flags, assignment, cap=REATTACH_CAP_FACTOR * eps,
-        workers=workers,
-    )
-    return assignment, SegmentationDetails(flags, provisional_count, reattached, boundary_noise)
+
+def _label_class(
+    positions: np.ndarray, members: np.ndarray, flags: np.ndarray, labels: np.ndarray,
+    epsilon: float, workers: int,
+) -> None:
+    """Label the points ``members`` of one class in place, from one tree over its interior.
+
+    Interior points take the smallest member of their epsilon-component. Each
+    boundary point then joins its nearest interior point within the closed
+    reattachment cap; exact ties go to the lowest label, which is the lowest
+    instance id. Boundary points never bridge instances. The tree is freed
+    on return, before the next class builds its own.
+    """
+    interior, boundary = members[~flags[members]], members[flags[members]]
+    index = RadiusIndex(positions[interior])
+    labels[interior] = _smallest_members(index, interior, epsilon)
+    rows, nearest = index.nearest_within(positions[boundary], REATTACH_CAP_FACTOR * epsilon,
+                                         workers=workers)
+    hit_rows, starts = np.unique(rows, return_index=True)
+    labels[boundary[hit_rows]] = np.minimum.reduceat(labels[interior[nearest]], starts)
 
 
 def _mu_filter(assignment: np.ndarray, mu: int) -> tuple[np.ndarray, int, int]:
@@ -261,35 +279,6 @@ def _mu_filter(assignment: np.ndarray, mu: int) -> tuple[np.ndarray, int, int]:
     victims = np.nonzero(member)[0][small[assignment[member]]]
     assignment[victims] = NOISE
     return assignment, int(small.sum()), int(victims.size)
-
-
-def _reattach_boundary_points(
-    positions: np.ndarray,
-    classes: np.ndarray,
-    flags: np.ndarray,
-    assignment: np.ndarray,
-    cap: float,
-    workers: int,
-) -> tuple[int, int]:
-    """Join each boundary point to the nearest same-class instance within cap (inclusive).
-
-    Nearest is measured to any member point; exact ties go to the lowest
-    instance id. Mutates ``assignment`` in place; returns (joined, noise)
-    counts. Boundary points never bridge instances.
-    """
-    boundary_idx = np.nonzero(flags)[0]
-    reattached = 0
-    joined = np.full(boundary_idx.size, NOISE, dtype=np.int64)
-    for c in np.unique(classes[boundary_idx]):
-        b_sel = np.nonzero(classes[boundary_idx] == c)[0]
-        members = np.nonzero((classes == c) & (assignment >= 0))[0]
-        rows, nearest = RadiusIndex(positions[members]).nearest_within(
-            positions[boundary_idx[b_sel]], cap, workers=workers)
-        hit_rows, starts = np.unique(rows, return_index=True)
-        joined[b_sel[hit_rows]] = np.minimum.reduceat(assignment[members[nearest]], starts)
-        reattached += int(hit_rows.size)
-    assignment[boundary_idx] = joined
-    return reattached, int(boundary_idx.size) - reattached
 
 
 def segment_single_object(positions: np.ndarray, epsilon: float) -> SingleObjectResult:

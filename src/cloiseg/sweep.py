@@ -7,8 +7,9 @@ Sweeps may share work between rows where that keeps them equal: the mu
 sweep segments once and applies each minimum size to that result, and the
 radius sweep enumerates each object's pairs once, at the largest radius.
 Rows are plain dicts meant for CSV emission; plotting is out of scope.
-During radius sweeps the boundary radius tracks epsilon unless explicitly
-overridden.
+During epsilon sweeps the boundary radius tracks epsilon unless explicitly
+overridden; the radius sweep flags no boundaries, so it has no boundary
+radius.
 """
 
 from __future__ import annotations
@@ -39,12 +40,14 @@ RADIUS_SELECTION_TARGET = 0.9
 RADIUS_SELECTION_THRESHOLD = 0.5
 
 
-def _check_grid(values: Sequence[float], name: str, minimum: float) -> tuple:
+def _check_grid(
+    values: Sequence[float], name: str, minimum: float, maximum: float = math.inf
+) -> tuple:
     values = tuple(values)
     if not values:
         raise ValueError(f"{name} grid must be non-empty")
-    if any(v < minimum for v in values):
-        raise ValueError(f"{name} grid values must be >= {minimum}")
+    if not all(math.isfinite(v) and minimum <= v <= maximum for v in values):
+        raise ValueError(f"{name} grid values must be finite, in [{minimum:g}, {maximum:g}]")
     if list(values) != sorted(values):
         raise ValueError(f"{name} grid must be sorted ascending")
     return values
@@ -68,7 +71,7 @@ class SweepSpec:
     ):
         self.epsilons = _check_grid(epsilons, "epsilon", minimum=1e-12)
         self.mus = _check_mus(mus)
-        self.thresholds = _check_grid(thresholds, "threshold", minimum=1e-12)
+        self.thresholds = _check_grid(thresholds, "threshold", minimum=1e-12, maximum=1.0)
 
 
 def _gt_labeling(cloud: LabeledPointCloud) -> InstanceLabeling:

@@ -57,6 +57,14 @@ def test_invalid_parameter_value_exits_one(tmp_path, capsys):
     assert main(["segment", "--epsilon", "-1", "missing.pts", "out.pts"]) == 1
     assert main(["sweep", "--mode", "mu", "--mus", "50,10", "missing.pts"]) == 1
     assert main(["segment", "--threads", "0", "missing.pts", "out.pts"]) == 1
+    # NaN passes a bare comparison and inf would enumerate every pair
+    for grid in (["--mode", "epsilon", "--epsilons", "nan"],
+                 ["--mode", "radius", "--epsilons", "0.02,nan"],
+                 ["--mode", "epsilon", "--epsilons", "inf"],
+                 ["--mode", "epsilon", "--thresholds", "0.5,2"],
+                 ["--mode", "radius", "--thresholds", "nan"]):
+        assert main(["sweep", *grid, "missing.pts"]) == 1, grid
+    assert main(["eval", "--thresholds", "0.5,2", "missing.pts", "missing.pts"]) == 1
     assert "error" in capsys.readouterr().err
     assert not (tmp_path / "out.pts").exists()
 

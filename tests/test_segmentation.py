@@ -21,6 +21,8 @@ from cloiseg import (
     segment_single_object,
     segment_with_details,
 )
+import cloiseg.boundary
+import cloiseg.segmentation
 from cloiseg.segmentation import _component_labels
 from conftest import grid_blob, make_cloud
 from oracles import (
@@ -552,13 +554,21 @@ def test_conservation_identities_on_profiles(profile):
 
 
 def test_conservation_identities_on_random_clouds(rng):
-    dropped = 0
+    dropped = reattached = 0
     for n in (1, 40, 300):
         for params in (SegmentationParams(epsilon=0.06, mu=3),
                        SegmentationParams(epsilon=0.08, mu=5, boundary_radius=0.03),
                        SegmentationParams(epsilon=0.05, mu=10_000)):
-            dropped += _assert_conservation(_random_scene(rng, n), params).dropped_instances
-    assert dropped > 0
+            cloud = _random_scene(rng, n)
+            details = _assert_conservation(cloud, params)
+            dropped += details.dropped_instances
+            # reattached: the oracle's boundary points that join an instance before the size filter
+            pos, classes = cloud.positions, cloud.class_labels
+            flags = brute_class_boundaries(pos, classes, params.resolved_boundary_radius)
+            joined = brute_segment(pos, classes, params.epsilon, 1, params.boundary_radius) >= 0
+            assert details.reattached_count == int(np.count_nonzero(flags & joined))
+            reattached += details.reattached_count
+    assert dropped > 0 and reattached > 0
 
 
 def test_mu_drops_reported_for_a_small_blob():
@@ -569,3 +579,25 @@ def test_mu_drops_reported_for_a_small_blob():
     assert labeling.n_instances == 1
     _, details = segment_with_details(make_cloud(np.empty((0, 3))))
     assert (details.dropped_instances, details.dropped_points) == (0, 0)
+
+
+def test_one_interior_tree_per_class_serves_links_and_reattachment(monkeypatch):
+    # per class with another class present: one tree for its flags, one over its interior
+    built = []
+
+    class CountingIndex(RadiusIndex):
+        def __init__(self, positions):
+            built.append(len(positions))
+            super().__init__(positions)
+
+    monkeypatch.setattr(cloiseg.segmentation, "RadiusIndex", CountingIndex)
+    monkeypatch.setattr(cloiseg.boundary, "RadiusIndex", CountingIndex)
+    pos = np.vstack([grid_blob((0, 0, 0), 64), grid_blob((0.05, 0, 0), 64),
+                     grid_blob((0.5, 0, 0), 64)])
+    classes = np.repeat([1, 2, 3], 64)
+    _, details = segment_with_details(make_cloud(pos, classes))
+    assert details.reattached_count > 0
+    assert len(built) == 6
+    built.clear()
+    segment(make_cloud(pos, 3))
+    assert built == [len(pos)]

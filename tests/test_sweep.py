@@ -52,6 +52,13 @@ def test_sweep_spec_validation():
         SweepSpec(mus=(0,))
     with pytest.raises(ValueError, match="integers"):
         SweepSpec(mus=(10, 20.5))
+    for grids in ({"epsilons": (float("nan"),)}, {"epsilons": (0.02, float("nan"))},
+                  {"epsilons": (0.02, float("inf"))}, {"mus": (10, float("nan"))},
+                  {"thresholds": (0.5, 2.0)}, {"thresholds": (float("nan"),)},
+                  {"thresholds": (0.0, 0.5)}):
+        with pytest.raises(ValueError, match="must be finite"):
+            SweepSpec(**grids)
+    assert SweepSpec(thresholds=(0.25, 1.0)).thresholds == (0.25, 1.0)
     spec = SweepSpec()
     assert spec.epsilons[0] == 0.01 and spec.mus[-1] == 200
 
