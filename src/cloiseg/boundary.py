@@ -5,6 +5,14 @@ carries a different class label, that is, when its nearest point of another
 class lies within the radius; ground-truth instance boundaries are the
 analogous notion over instance ids. Both are pure functions of the cloud and
 independent of evaluation order.
+
+Class flags skip what cannot be a boundary. ``block_reduce`` ORs the class
+bits over each point's block of cells (side >= the radius), which holds every
+point within the radius. A point whose block holds no other class has no
+other-class neighbour, so it is not queried; and a point's other-class
+neighbours all have its class in their blocks, so each class is queried
+against a tree over only such points of the other classes. Both cuts drop
+only points no query could return, so the flags are exact.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import LabeledPointCloud
-from .spatial import RadiusIndex
+from .spatial import RadiusIndex, block_reduce
 
 
 @dataclass(frozen=True)
@@ -40,17 +48,22 @@ def _class_boundary_flags(
 ) -> np.ndarray:
     """Per point: does its nearest other-class point lie within ``radius`` (inclusive)?
 
-    For each class, ``nearest_within`` queries its points against a tree over
-    every other class; the rows it returns are exactly the boundary points.
+    For each class, ``nearest_within`` queries the points of the class whose
+    block holds another class against a tree over the points of the other
+    classes whose block holds this one (see the module docstring); the rows
+    it returns are exactly the boundary points.
     """
     flags = np.zeros(classes.shape, dtype=bool)
+    bits = np.left_shift(1, classes).astype(np.uint8)
+    near = block_reduce(positions, radius, bits, np.bitwise_or)
     for c in np.unique(classes):
-        own = classes == c
-        if own.all():
-            break
-        members = np.flatnonzero(own)
-        rows, _ = RadiusIndex(positions[~own]).nearest_within(positions[members], radius,
-                                                              workers=workers)
+        bit = np.uint8(1 << c)
+        members = np.flatnonzero((bits == bit) & (near != bit))
+        if members.size == 0:
+            continue
+        others = np.flatnonzero((bits != bit) & (near & bit != 0))
+        rows, _ = RadiusIndex(positions[others]).nearest_within(positions[members], radius,
+                                                                workers=workers)
         flags[members[rows]] = True
     return flags
 

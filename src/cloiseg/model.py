@@ -231,6 +231,42 @@ def _parse_table(path, lines: list[str], first_data_line: int, widths=(5, 6)) ->
     return np.array(rows, dtype=np.float64)
 
 
+#: The bytes of a plain point table. With no other byte, a newline is the only
+#: line break and no line is a comment or holds a word such as ``nan``.
+_PLAIN_BYTES = b"0123456789+-.eE \t\n"
+
+
+def _plain_table(path: Path, f, header: str, n: int, block_size: int = 1 << 20):
+    """The table parsed straight from the text stream ``f``, or None to parse a list of lines.
+
+    A load that holds no list of its lines peaks at about the size of the
+    table. This path is taken only where it gives what the list parse would:
+    the header and body are read as the same bytes, the body is plain, its
+    lines up to the last non-blank one number n (a scan in blocks), and the
+    parse yields n rows of one width, so that no blank line was skipped.
+    """
+    if n == 0:
+        return None
+    with path.open("rb") as raw:
+        if raw.readline() != header.encode("utf-8"):
+            return None
+        lines = newlines = 0
+        for block in iter(lambda: raw.read(block_size), b""):
+            if block.translate(None, _PLAIN_BYTES):
+                return None
+            text = block.rstrip(b" \t\n")
+            if text:
+                lines = newlines + text.count(b"\n") + 1
+            newlines += block.count(b"\n")
+    if lines != n:
+        return None
+    try:
+        table = np.loadtxt(f, dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    return table if table.shape[0] == n and table.shape[1] in (5, 6) else None
+
+
 def load_pts(path) -> LabeledPointCloud:
     """Load a CLOI-PTS file (header ``cloi-pts v1 n=<N>`` + one line per point)."""
     path = Path(path)
@@ -240,6 +276,11 @@ def load_pts(path) -> LabeledPointCloud:
         if not m:
             raise PtsParseError(path, 1, f"bad header {header.rstrip()!r}")
         n = int(m.group(1))
+        start = f.tell()
+        table = _plain_table(path, f, header, n)
+        if table is not None:
+            return _validate_table(path, table, first_data_line=2)
+        f.seek(start)
         body = f.read()
     lines = body.splitlines()
     # trailing blank lines are tolerated; interior blanks are errors

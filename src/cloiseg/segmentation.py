@@ -15,6 +15,15 @@ point never arise, and the class's boundary points then query it for their
 nearest instance. A numpy union-find labels each interior point with the
 smallest member of its component, a boundary point takes the label of the
 instance it joins, and ranking those labels once gives the canonical order.
+
+Links are labelled in two rounds (``_smallest_members``). Core components
+come first, from the pairs within ``CORE_FRACTION`` of epsilon, which are
+epsilon-pairs too. A point whose block of cells (side >= epsilon,
+``block_reduce``) holds a single core label has all its epsilon-neighbours
+in its own core component, so its epsilon-pairs cannot join two components.
+Only the other, mixed, points get a tree, and their epsilon-pairs join the
+core labels. The labels stay smallest members, so the result equals one
+labelling of every epsilon-pair.
 """
 
 from __future__ import annotations
@@ -26,11 +35,17 @@ import numpy as np
 
 from .boundary import _class_boundary_flags
 from .model import NOISE, LabeledPointCloud, _group_instances
-from .spatial import RadiusIndex
+from .spatial import RadiusIndex, block_reduce
 
 #: Boundary points farther than this multiple of epsilon from every
 #: same-class instance become NOISE instead of joining one.
 REATTACH_CAP_FACTOR = 3.0
+
+#: Core components are labelled within this fraction of epsilon. On the
+#: refinery-like profile at epsilon 4cm, 0.6 leaves 4.9k mixed points with 69k
+#: epsilon-pairs; 0.5 leaves 11.7k with 806k, and 0.7 enumerates 1.32M core
+#: pairs instead of 0.96M.
+CORE_FRACTION = 0.6
 
 
 @dataclass(frozen=True)
@@ -153,13 +168,24 @@ def _smallest_members(
     ``index`` holds the points with ascending global ids ``members``, in that
     order; ``predicate(i, j)`` filters the pairs by global id. The labelling
     runs on local ids, and mapping a local smallest member back through the
-    ascending ids gives the global smallest member.
+    ascending ids gives the global smallest member. Core components come
+    first, then the epsilon-pairs of the mixed points join them (see the
+    module docstring).
     """
-    pairs = index.pairs_within(epsilon)
-    if predicate is not None:
-        pairs = pairs[np.asarray(predicate(members[pairs[:, 0]], members[pairs[:, 1]]),
-                                 dtype=bool)]
-    return members[_component_labels(len(index), pairs)]
+    def links(pairs):
+        if predicate is None:
+            return pairs
+        return pairs[np.asarray(predicate(members[pairs[:, 0]], members[pairs[:, 1]]),
+                                dtype=bool)]
+
+    labels = _component_labels(len(index), links(index.pairs_within(CORE_FRACTION * epsilon)))
+    bounds = block_reduce(index.positions, epsilon, np.stack([labels, -labels], axis=1),
+                          np.minimum)
+    mixed = np.flatnonzero(bounds[:, 0] != -bounds[:, 1])
+    if mixed.size:
+        joins = labels[links(mixed[RadiusIndex(index.positions[mixed]).pairs_within(epsilon)])]
+        labels = _component_labels(len(index), joins)[labels]
+    return members[labels]
 
 
 def _index_dtype(n: int):

@@ -1,13 +1,34 @@
-"""Fixed-radius neighbor index over 3D point positions.
+"""Fixed-radius neighbor index over 3D point positions, and cell blocks that prune it.
 
 Queries use the closed ball (d <= r, Euclidean); results are exact, equal to
 the brute-force neighbor set. The index never mutates after construction and
 is safe to share across threads.
+
+``block_reduce`` reduces a per-point value over each point's block: the 3x3x3
+cells around its own, with cubic cells a little wider than a radius. Every
+point within that radius of a point lies in its block (and each in the
+other's), so where a block's values show that no neighbour can matter, a
+neighbour query may skip the point. Boundary flags and links use it so (see
+``boundary`` and ``segmentation``). Rounding cannot break the rule: a cell
+is wider than the radius by a relative ``CELL_MARGIN``, which covers the
+rounding of the distance rule, plus ``CELL_ULPS`` units in the last place of
+the cloud's largest extent, which cover the rounding of ``x - min`` and of
+the division by the side. A relative hair alone is not enough: at UTM-size
+coordinates ``x - min`` rounds by ~1e-9 m. When the int64 cell key could
+overflow (say, with one point 1e9 m from the rest), every point's block is
+the whole cloud, so nothing is skipped.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+#: Cells are wider than their radius by this fraction of it ...
+CELL_MARGIN = 1e-6
+#: ... plus this many units in the last place of the cloud's largest extent.
+CELL_ULPS = 16
+# cell keys stay below this; a larger grid falls back to one block
+_KEY_LIMIT = 2.0**62
 
 
 def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -102,3 +123,63 @@ class RadiusIndex:
         best = np.repeat(np.minimum.reduceat(sq, np.cumsum(counts) - counts), counts)
         keep = (sq == best) & (best <= cap * cap)
         return rows[keep], cands[keep]
+
+
+def block_reduce(positions: np.ndarray, radius: float, values: np.ndarray, ufunc) -> np.ndarray:
+    """Per point, ``ufunc`` reduced over the ``values`` of every point in its block.
+
+    A block is the 3x3x3 cells around the point's own; cells are cubes of side
+    ``radius * (1 + CELL_MARGIN)`` plus ``CELL_ULPS`` ulps of the extent, so any
+    point within ``radius`` by the closed-ball rule of this module lies in the
+    block (and, blocks being symmetric, each lies in the other's). ``values``
+    has one row per point; ``ufunc`` is an idempotent binary ufunc, such as
+    ``np.bitwise_or`` or ``np.minimum``. If the cell keys could overflow int64,
+    every point's block is the whole cloud.
+    """
+    positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
+    values = np.asarray(values)
+    if positions.shape[0] == 0:
+        return values.copy()
+    # per coordinate, which is faster than reducing the rows of an (N, 3) array
+    coords = positions.T
+    lo = np.array([x.min() for x in coords])
+    span = np.array([x.max() for x in coords]) - lo
+    side = radius * (1.0 + CELL_MARGIN) + CELL_ULPS * np.spacing(span.max())
+    # a spare cell at each end of each axis, so that no offset wraps a row
+    dims = np.floor(span / side) + 3
+    if np.prod(dims) >= _KEY_LIMIT:
+        return np.broadcast_to(ufunc.reduce(values, axis=0), values.shape).copy()
+    strides = np.cumprod(dims[::-1].astype(np.int64))[::-1]
+    key = np.zeros(positions.shape[0], dtype=np.int64)
+    for x, x0, stride in zip(coords, lo, (*strides[1:], 1)):
+        # x - x0 >= 0, so truncation is the floor
+        cell = ((x - x0) / side).astype(np.int64)
+        cell += 1
+        cell *= stride
+        key += cell
+    del cell
+    order = np.argsort(key)
+    key = key[order]
+    starts = np.r_[True, key[1:] != key[:-1]]
+    first = np.flatnonzero(starts)
+    cells = key[first]
+    del key
+    cell_of = np.empty(order.size, dtype=np.int64)
+    cell_of[order] = np.cumsum(starts) - 1
+    del starts
+    own = ufunc.reduceat(values[order], first, axis=0)
+    del order
+    # a block is 9 runs of 3 consecutive keys; cells are unique and sorted,
+    # so each run's occupied cells are among the 3 from where it would start.
+    # A miss reads the cell itself, which an idempotent ufunc ignores
+    sx, sy = strides[1:]
+    low = np.array([[dx + dy - 1] for dx in (-sx, 0, sx) for dy in (-sy, 0, sy)]) + cells
+    start = np.searchsorted(cells, low)
+    itself = np.arange(cells.size)
+    block = own
+    for step in range(3):
+        at = np.minimum(start + step, cells.size - 1)
+        found = cells[at]
+        at = np.where((found >= low) & (found <= low + 2), at, itself)
+        block = ufunc(block, ufunc.reduce(own[at], axis=0))
+    return block[cell_of]

@@ -13,7 +13,8 @@ from cloiseg import (
     load_pts,
     save_pts,
 )
-from cloiseg.model import CloudValueError
+import cloiseg.model
+from cloiseg.model import CloudValueError, _plain_table
 from conftest import clouds_equal, make_cloud
 
 
@@ -144,6 +145,67 @@ def test_load_rejects_header_mismatch(tmp_path):
     p.write_text("not a header\n")
     with pytest.raises(PtsParseError, match="header"):
         load_pts(p)
+
+
+# files the stream parse must load, or reject, exactly as the line-list parse
+STREAM_CASES = {
+    "plain": b"cloi-pts v1 n=3\n0.5 0 0 3 0\n0 1.25 0 3 0\n-1e-3 +.5 2E2 1 1\n",
+    "predictions": b"cloi-pts v1 n=2\n0 0 0 3 0 4\n1 0 0 3 0 4\n",
+    "tabs, trailing blanks": b"cloi-pts v1 n=2\n0\t0 0 3 0 \n1 0 0 3 0\n  \n\t\n\n",
+    "no final newline": b"cloi-pts v1 n=2\n0 0 0 3 0\n1 0 0 3 0",
+    "interior blank": b"cloi-pts v1 n=3\n0 0 0 3 0\n\n1 0 0 3 0\n",
+    "interior spaces": b"cloi-pts v1 n=3\n0 0 0 3 0\n   \n1 0 0 3 0\n",
+    "blank counted": b"cloi-pts v1 n=2\n0 0 0 3 0\n\n1 0 0 3 0\n",
+    "comment": b"cloi-pts v1 n=3\n0 0 0 3 0\n# note\n1 0 0 3 0\n",
+    "crlf": b"cloi-pts v1 n=2\r\n0 0 0 3 0\r\n1 0 0 3 0\r\n",
+    "cr": b"cloi-pts v1 n=2\r0 0 0 3 0\r1 0 0 3 0\r",
+    "cr header": b"cloi-pts v1 n=1\r   \n1 2 3 4 5\n",
+    "form feed": b"cloi-pts v1 n=1\n0 0 0\x0c3 0\n",
+    "vertical tab": b"cloi-pts v1 n=2\n0 0 0 3 0\n1 0\x0b0 3 0\n",
+    "line separator": "cloi-pts v1 n=1\n0 0 0\u20283 0\n".encode(),
+    "nan": b"cloi-pts v1 n=1\n0 0 nan 3 0\n",
+    "bad number": b"cloi-pts v1 n=2\n0 0 0 3 0\n1e 0 0 3 0\n",
+    "ragged": b"cloi-pts v1 n=2\n0 0 0 3 0\n1 0 0 3\n",
+    "seven columns": b"cloi-pts v1 n=1\n0 0 0 3 0 0 0\n",
+    "too many lines": b"cloi-pts v1 n=1\n0 0 0 3 0\n1 0 0 3 0\n",
+    "too few lines": b"cloi-pts v1 n=3\n0 0 0 3 0\n1 0 0 3 0\n",
+    "bad value": b"cloi-pts v1 n=2\n0 0 0 3 0\n1 0 0 9 0\n",
+}
+
+
+def _load_outcome(path):
+    try:
+        cloud = load_pts(path)
+    except (PtsParseError, ValueError) as exc:
+        return str(exc)
+    return (cloud.positions.tolist(), cloud.class_labels.tolist(), cloud.gt_instance.tolist(),
+            None if cloud.pred_instance is None else cloud.pred_instance.tolist())
+
+
+@pytest.mark.parametrize("case", STREAM_CASES)
+def test_stream_parse_loads_as_the_line_list_parse(tmp_path, monkeypatch, case):
+    p = tmp_path / "a.pts"
+    p.write_bytes(STREAM_CASES[case])
+    streamed = _load_outcome(p)
+    monkeypatch.setattr(cloiseg.model, "_plain_table", lambda *args: None)
+    assert streamed == _load_outcome(p)
+
+
+def test_stream_parse_counts_lines_across_blocks(tmp_path):
+    # the plain cases take the stream parse, whatever the scan's block size
+    for case, n in (("plain", 3), ("predictions", 2), ("tabs, trailing blanks", 2),
+                    ("no final newline", 2)):
+        p = tmp_path / "a.pts"
+        p.write_bytes(STREAM_CASES[case])
+        for block_size in (1, 2, 3, 7, 1 << 20):
+            with p.open("r", encoding="utf-8") as f:
+                header = f.readline()
+                table = _plain_table(p, f, header, n, block_size)
+            assert table is not None and table.shape[0] == n
+    # and the saved scenes of the CLI do too
+    save_pts(make_cloud(np.arange(12.0).reshape(4, 3), [1, 1, 2, 2]), p)
+    with p.open("r", encoding="utf-8") as f:
+        assert _plain_table(p, f, f.readline(), 4).shape == (4, 5)
 
 
 def test_roundtrip_bit_exact(tmp_path, rng):

@@ -582,7 +582,10 @@ def test_mu_drops_reported_for_a_small_blob():
 
 
 def test_one_interior_tree_per_class_serves_links_and_reattachment(monkeypatch):
-    # per class with another class present: one tree for its flags, one over its interior
+    # the trees, in build order: a flag tree per class with another class in
+    # reach, over only those points of the other classes; then per class one
+    # tree over its interior, for links and reattachment, and one over its
+    # mixed points, built only when some block holds two core components
     built = []
 
     class CountingIndex(RadiusIndex):
@@ -597,7 +600,17 @@ def test_one_interior_tree_per_class_serves_links_and_reattachment(monkeypatch):
     classes = np.repeat([1, 2, 3], 64)
     _, details = segment_with_details(make_cloud(pos, classes))
     assert details.reattached_count > 0
-    assert len(built) == 6
+    # class 3 is out of every other class's reach: no flag tree
+    assert built == [64, 64, 32, 16, 64]
     built.clear()
     segment(make_cloud(pos, 3))
     assert built == [len(pos)]
+
+    # a chain spaced 3cm links at epsilon but not within the core radius
+    # (0.6 * 4cm), so each of its points is mixed; the blob's are not
+    built.clear()
+    chain = np.zeros((30, 3))
+    chain[:, 0] = 1.0 + np.arange(30) * 0.03
+    labeling = segment(make_cloud(np.vstack([grid_blob((0, 0, 0), 64), chain]), 3))
+    assert built == [94, 30]
+    assert labeling.assignment.tolist() == [0] * 64 + [1] * 30
