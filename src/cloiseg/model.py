@@ -73,16 +73,21 @@ def _group_instances(ids, class_labels=None, reason="instance mixes class labels
     differs from its instance's smallest member raises :class:`CloudValueError`.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    canonical = np.full(ids.shape, NOISE, dtype=np.int64)
-    assigned = np.flatnonzero(ids >= 0)
-    _, first, inv = np.unique(ids[assigned], return_index=True, return_inverse=True)
-    instance = np.argsort(np.argsort(first))[inv]
-    canonical[assigned] = instance
-    first = assigned[np.sort(first)]
+    uniq, first = np.unique(ids, return_index=True)
+    kept = uniq >= 0
+    uniq, first = uniq[kept], first[kept]
+    if uniq.size == 0:
+        return np.full(ids.shape, NOISE, dtype=np.int64), first
+    # ids map to instances through the sorted distinct ids, not a per-point
+    # inverse, which keeps the temporaries at a few columns of the cloud
+    canonical = np.argsort(np.argsort(first))[np.searchsorted(uniq, ids).clip(max=uniq.size - 1)]
+    canonical[ids < 0] = NOISE
+    first = np.sort(first)
     if class_labels is not None:
-        bad = np.flatnonzero(class_labels[assigned] != class_labels[first][instance])
+        bad = np.flatnonzero(class_labels != class_labels[first][canonical])
+        bad = bad[ids[bad] >= 0]
         if bad.size:
-            raise CloudValueError(int(assigned[bad[0]]), reason)
+            raise CloudValueError(int(bad[0]), reason)
     return canonical, first
 
 
@@ -175,10 +180,16 @@ class LabeledPointCloud:
 # ---------------------------------------------------------------------------
 
 def _validate_table(path, table: np.ndarray, first_data_line: int) -> LabeledPointCloud:
-    """Build a cloud from a parsed (N, 5|6) float table, reporting bad lines.
+    """Build a cloud from a parsed (N, 5|6) float table, reporting bad lines."""
+    return _cloud_from_columns(path, _table_columns(path, table, first_data_line),
+                               first_data_line)
 
-    Text adds one rule to the cloud's own: label columns hold integers. Any
-    rule the cloud rejects is reported at the line of its point.
+
+def _table_columns(path, table: np.ndarray, first_data_line: int):
+    """``(positions, label columns)`` of a parsed (N, 5|6) float table, as new arrays.
+
+    Text adds one rule to the cloud's own: label columns hold integers. A
+    caller that drops the table then holds only the cloud's arrays.
     """
     labels = []
     for k, name in zip(range(3, table.shape[1]),
@@ -188,8 +199,14 @@ def _validate_table(path, table: np.ndarray, first_data_line: int) -> LabeledPoi
         if not ok.all():
             raise PtsParseError(path, first_data_line + int(np.argmin(ok)), f"non-integer {name}")
         labels.append(col.astype(np.int64))
+    return np.ascontiguousarray(table[:, :3]), labels
+
+
+def _cloud_from_columns(path, columns, first_data_line: int) -> LabeledPointCloud:
+    """The cloud of ``_table_columns``; a rule it breaks is reported at the line of its point."""
+    positions, labels = columns
     try:
-        return LabeledPointCloud(table[:, :3], *labels)
+        return LabeledPointCloud(positions, *labels)
     except CloudValueError as exc:
         raise PtsParseError(path, first_data_line + exc.index, exc.reason) from None
 
@@ -239,8 +256,8 @@ _PLAIN_BYTES = b"0123456789+-.eE \t\n"
 def _plain_table(path: Path, f, header: str, n: int, block_size: int = 1 << 20):
     """The table parsed straight from the text stream ``f``, or None to parse a list of lines.
 
-    A load that holds no list of its lines peaks at about the size of the
-    table. This path is taken only where it gives what the list parse would:
+    A load that holds no list of its lines peaks at about twice the size of
+    the table. This path is taken only where it gives what the list parse would:
     the header and body are read as the same bytes, the body is plain, its
     lines up to the last non-blank one number n (a scan in blocks), and the
     parse yields n rows of one width, so that no blank line was skipped.
@@ -279,7 +296,9 @@ def load_pts(path) -> LabeledPointCloud:
         start = f.tell()
         table = _plain_table(path, f, header, n)
         if table is not None:
-            return _validate_table(path, table, first_data_line=2)
+            columns = _table_columns(path, table, first_data_line=2)
+            del table  # freed before the cloud checks, which peak over the columns
+            return _cloud_from_columns(path, columns, first_data_line=2)
         f.seek(start)
         body = f.read()
     lines = body.splitlines()

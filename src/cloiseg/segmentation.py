@@ -24,10 +24,17 @@ in its own core component, so its epsilon-pairs cannot join two components.
 Only the other, mixed, points get a tree, and their epsilon-pairs join the
 core labels. The labels stay smallest members, so the result equals one
 labelling of every epsilon-pair.
+
+A class of more than ``spatial.SLAB_POINTS`` interior points enumerates its
+core pairs slab by slab (``slabs``) and reduces each slab's pairs to a
+spanning forest before the next, so that it holds one slab's pairs at a
+time; its interior tree is built only after the core labels, for the
+reattachment.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -35,7 +42,7 @@ import numpy as np
 
 from .boundary import _class_boundary_flags
 from .model import NOISE, LabeledPointCloud, _group_instances
-from .spatial import RadiusIndex, block_reduce
+from .spatial import RadiusIndex, block_reduce, slabs
 
 #: Boundary points farther than this multiple of epsilon from every
 #: same-class instance become NOISE instead of joining one.
@@ -172,20 +179,45 @@ def _smallest_members(
     first, then the epsilon-pairs of the mixed points join them (see the
     module docstring).
     """
-    def links(pairs):
+    def links(ids, pairs):
+        """Those of ``pairs``, local ids into ``ids``, that the predicate keeps."""
         if predicate is None:
             return pairs
-        return pairs[np.asarray(predicate(members[pairs[:, 0]], members[pairs[:, 1]]),
-                                dtype=bool)]
+        ends = members[ids]
+        return pairs[np.asarray(predicate(ends[pairs[:, 0]], ends[pairs[:, 1]]), dtype=bool)]
 
-    labels = _component_labels(len(index), links(index.pairs_within(CORE_FRACTION * epsilon)))
+    labels = _core_labels(index, CORE_FRACTION * epsilon, links)
     bounds = block_reduce(index.positions, epsilon, np.stack([labels, -labels], axis=1),
                           np.minimum)
     mixed = np.flatnonzero(bounds[:, 0] != -bounds[:, 1])
     if mixed.size:
-        joins = labels[links(mixed[RadiusIndex(index.positions[mixed]).pairs_within(epsilon)])]
+        pairs = RadiusIndex(index.positions[mixed]).pairs_within(epsilon)
+        joins = labels[mixed[links(mixed, pairs)]]
         labels = _component_labels(len(index), joins)[labels]
     return members[labels]
+
+
+def _core_labels(index: RadiusIndex, radius: float, links) -> np.ndarray:
+    """Per point of ``index``, the smallest point of its component of the pairs within ``radius``.
+
+    A large cloud is enumerated slab by slab (``slabs``), so that no more
+    than one slab's pairs are held at once: each slab's pairs are reduced to
+    a spanning forest of its components, which joins the same points, and
+    the forests of all slabs are labelled together.
+    """
+    n = len(index)
+    cuts = slabs(index.positions, radius)
+    ids = next(cuts)
+    if ids.size == n:
+        return _component_labels(n, links(ids, index.pairs_within(radius)))
+    forest = []
+    for ids in itertools.chain([ids], cuts):
+        root = _component_labels(ids.size, links(ids, RadiusIndex(index.positions[ids])
+                                                 .pairs_within(radius)))
+        child = np.flatnonzero(root != np.arange(ids.size))
+        forest.append(ids.astype(_index_dtype(n))[np.stack([root[child], child], axis=1)])
+    forest = np.concatenate(forest)
+    return _component_labels(n, forest)
 
 
 def _index_dtype(n: int):
@@ -205,6 +237,7 @@ def _component_labels(n: int, pairs: np.ndarray) -> np.ndarray:
     parent = np.arange(n, dtype=_index_dtype(n))
     lo = pairs[:, 0].astype(parent.dtype, copy=False)
     hi = pairs[:, 1].astype(parent.dtype, copy=False)
+    del pairs  # a caller that passed the only reference frees a wider edge list here
     while lo.size:
         # an edge given larger end first hooks nothing until it is ordered below
         np.minimum.at(parent, hi, lo)

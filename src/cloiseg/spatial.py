@@ -1,8 +1,8 @@
 """Fixed-radius neighbor index over 3D point positions, and cell blocks that prune it.
 
 Queries use the closed ball (d <= r, Euclidean); results are exact, equal to
-the brute-force neighbor set. The index never mutates after construction and
-is safe to share across threads.
+the brute-force neighbor set. An index answers the same after construction
+(its tree is built by the first query) and is safe to share across threads.
 
 ``block_reduce`` reduces a per-point value over each point's block: the 3x3x3
 cells around its own, with cubic cells a little wider than a radius. Every
@@ -17,9 +17,15 @@ the division by the side. A relative hair alone is not enough: at UTM-size
 coordinates ``x - min`` rounds by ~1e-9 m. When the int64 cell key could
 overflow (say, with one point 1e9 m from the rest), every point's block is
 the whole cloud, so nothing is skipped.
+
+``slabs`` cuts a large cloud along its widest axis into overlapping slabs
+that hold every pair within a radius, with the same margin, so that pairs
+can be enumerated one slab at a time.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -29,6 +35,8 @@ CELL_MARGIN = 1e-6
 CELL_ULPS = 16
 # cell keys stay below this; a larger grid falls back to one block
 _KEY_LIMIT = 2.0**62
+#: ``slabs`` cuts clouds larger than this many points
+SLAB_POINTS = 1 << 17
 
 
 def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -43,7 +51,9 @@ class RadiusIndex:
     The tree splits at sliding midpoints (``balanced_tree=False``) and keeps
     loose node boxes (``compact_nodes=False``): both build and query faster on
     scan-like clouds than median splits, and only the order of enumerated
-    pairs depends on them, never the pair set or any query result.
+    pairs depends on them, never the pair set or any query result. It is
+    built by the first query, so an index whose points are only read (say,
+    a class enumerated slab by slab) costs no tree until it is queried.
     """
 
     def __init__(self, positions: np.ndarray):
@@ -54,11 +64,14 @@ class RadiusIndex:
             raise ValueError(f"positions must have shape (N, 3), got {positions.shape}")
         if not np.isfinite(positions).all():
             raise ValueError("positions must be finite")
+        self.positions = positions
+
+    @functools.cached_property
+    def _tree(self):
         # imported here, so that commands which build no index never load scipy
         from scipy.spatial import cKDTree
 
-        self.positions = positions
-        self._tree = cKDTree(positions, balanced_tree=False, compact_nodes=False)
+        return cKDTree(self.positions, balanced_tree=False, compact_nodes=False)
 
     def __len__(self) -> int:
         return self.positions.shape[0]
@@ -183,3 +196,32 @@ def block_reduce(positions: np.ndarray, radius: float, values: np.ndarray, ufunc
         at = np.where((found >= low) & (found <= low + 2), at, itself)
         block = ufunc(block, ufunc.reduce(own[at], axis=0))
     return block[cell_of]
+
+
+def slabs(positions: np.ndarray, radius: float):
+    """Overlapping slabs of point ids, along the widest axis, that hold every pair within ``radius``.
+
+    Yields id arrays. With size = ``SLAB_POINTS``, slab k holds the points
+    ranked k*size .. (k+1)*size-1 by that coordinate, plus every later point
+    whose coordinate exceeds the slab's last by at most ``radius`` and a
+    margin (``CELL_MARGIN`` of the radius plus ``CELL_ULPS`` ulps of the
+    largest coordinate). A pair within ``radius`` differs by at most that in
+    every coordinate, so it lies in the slab of its lower-ranked point, and a
+    neighbour query over each slab finds every pair. A cloud of at most
+    ``size`` points, or one whose slabs would hold more than twice its
+    points, is one slab.
+    """
+    n, size = positions.shape[0], SLAB_POINTS
+    if n > size:
+        x = max(positions.T, key=lambda x: x.max() - x.min())
+        order = np.argsort(x)
+        xs = x[order]
+        pad = radius * (1.0 + CELL_MARGIN) + CELL_ULPS * np.spacing(max(-xs[0], xs[-1]))
+        starts = np.arange(0, n, size)
+        ends = np.searchsorted(xs, xs[np.minimum(starts + size, n) - 1] + pad, side="right")
+        del xs
+        if (ends - starts).sum() <= 2 * n:
+            for start, end in zip(starts, ends):
+                yield order[start:end]
+            return
+    yield np.arange(n)

@@ -6,7 +6,8 @@ nothing can change there. These clouds put neighbours where such a rule is
 most likely to lose one: ties at exactly the radius far from the origin,
 where ``x - min`` rounds; points on multiples of epsilon and of the core
 radius; an outlier that overflows the int64 cell key; and same-class chains
-that link at epsilon but not within the core radius.
+that link at epsilon but not within the core radius. The same clouds, cut
+into slabs of a few points (``slabs``), check the slab-by-slab core pairs.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import cloiseg.segmentation
+import cloiseg.spatial
 from cloiseg import (
     BoundaryParams,
     RadiusIndex,
@@ -23,7 +26,7 @@ from cloiseg import (
     segment,
 )
 from cloiseg.segmentation import CORE_FRACTION
-from cloiseg.spatial import CELL_MARGIN, CELL_ULPS, block_reduce
+from cloiseg.spatial import CELL_MARGIN, CELL_ULPS, block_reduce, slabs
 from conftest import grid_blob, make_cloud
 from oracles import brute_class_boundaries, brute_components, brute_segment, distance_matrix_sq
 
@@ -187,3 +190,80 @@ def test_block_reduce_covers_every_ball(rng):
     labels = np.array([4, 7, 9])
     got = block_reduce(pos, 0.1, np.stack([labels, -labels], axis=1), np.minimum)
     assert got.tolist() == [[4, -7], [4, -7], [9, -9]]
+
+
+@pytest.fixture
+def small_slabs(monkeypatch):
+    """Core pairs enumerated in slabs of 8 points, so that small clouds take the slab path."""
+    monkeypatch.setattr(cloiseg.spatial, "SLAB_POINTS", 8)
+
+
+def _slab_clouds(rng):
+    pos, _ = _tie_lattice()
+    yield pos
+    yield pos + 5e6
+    yield pos - 5e6
+    yield _pairs_across_cell_edges(5e6 + 0.3, 0.01)
+    yield rng.random((200, 3)) * (1.0, 0.2, 0.2)
+    chain = np.zeros((40, 3))
+    chain[:, 0] = np.arange(40) * 0.03
+    yield chain
+
+
+def test_slabs_hold_every_pair(rng, monkeypatch):
+    for pos in _slab_clouds(rng):
+        n = len(pos)
+        for r in (0.01, CORE, EPS):
+            near = np.triu(distance_matrix_sq(pos) <= r * r, k=1)
+            for size in (1, 3, 8, 50, n):
+                monkeypatch.setattr(cloiseg.spatial, "SLAB_POINTS", size)
+                held = np.zeros((n, n), dtype=bool)
+                seen = np.zeros(n, dtype=bool)
+                for ids in slabs(pos, r):
+                    held[np.ix_(ids, ids)] = True
+                    seen[ids] = True
+                assert seen.all()
+                assert not (near & ~held).any()
+
+
+@pytest.mark.usefixtures("small_slabs")
+def test_slabs_of_one_crowded_coordinate_are_one_slab():
+    # 40 points share x = 0 and one lies 1 m away: each slab would hold every
+    # later point at x = 0, so the cloud is not cut
+    pos = np.zeros((41, 3))
+    pos[:40, 1] = np.arange(40) * 1e-3
+    pos[40, 0] = 1.0
+    assert [ids.tolist() for ids in slabs(pos, EPS)] == [list(range(41))]
+
+
+@pytest.mark.usefixtures("small_slabs")
+def test_slab_core_components_are_the_core_radius_components(rng):
+    # lost core pairs would only make more points mixed, which the epsilon
+    # step repairs; so the core labels themselves are checked here
+    for pos in _slab_clouds(rng):
+        for r in (0.01, CORE):
+            near = np.triu(distance_matrix_sq(pos) <= r * r, k=1)
+            iu, ju = np.nonzero(near)
+            want = np.arange(len(pos))
+            for comp in brute_components(len(pos), zip(iu.tolist(), ju.tolist())):
+                want[sorted(comp)] = min(comp)
+            got = cloiseg.segmentation._core_labels(RadiusIndex(pos), r, lambda ids, pairs: pairs)
+            assert got.tolist() == want.tolist()
+
+
+@pytest.mark.usefixtures("small_slabs")
+def test_slab_core_labels_match_the_oracles():
+    pos, classes = _tie_lattice()
+    for shift in (5e6, -5e6):
+        for r_b in (None, CORE):
+            _assert_matches_oracles(pos + shift, classes, r_b=r_b)
+    k = np.arange(24)
+    rows = np.vstack([np.stack([k * EPS, np.zeros(24), np.zeros(24)], axis=1),
+                      np.stack([k * CORE, np.full(24, EPS), np.zeros(24)], axis=1)])
+    _assert_matches_oracles(rows, np.zeros(48, int))
+    _assert_matches_oracles(rows, np.zeros(48, int), eps=CORE)
+    for spacing in (0.03, 0.9 * EPS):
+        chain = np.zeros((40, 3))
+        chain[:, 0] = np.arange(40) * spacing
+        pos = np.vstack([chain, [[20 * spacing, 0.5 * EPS, 0.0]], chain + (0.0, 0.0, 2 * EPS)])
+        _assert_matches_oracles(pos, np.concatenate([np.full(40, 2), [5], np.full(40, 3)]))
