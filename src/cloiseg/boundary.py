@@ -12,7 +12,9 @@ point within the radius. A point whose block holds no other class has no
 other-class neighbour, so it is not queried; and a point's other-class
 neighbours all have its class in their blocks, so each class is queried
 against a tree over only such points of the other classes. Both cuts drop
-only points no query could return, so the flags are exact.
+only points no query could return, so the flags are exact. Ground-truth
+flags take the same cut with the smallest and largest id of each block:
+only points whose block holds two ids enumerate pairs.
 """
 
 from __future__ import annotations
@@ -83,13 +85,20 @@ def detect_class_boundaries(
 def detect_gt_instance_boundaries(
     cloud: LabeledPointCloud, index: RadiusIndex, params: BoundaryParams
 ) -> np.ndarray:
-    """Boolean flag per point: has a neighbor of a different ground-truth instance."""
+    """Boolean flag per point: has a neighbor of a different ground-truth instance.
+
+    Only points whose block holds two ground-truth ids (``block_reduce`` of
+    ``[id, -id]``) can have such a neighbour, and it is one of them too, so
+    pairs are enumerated over those points alone.
+    """
     if len(index) != len(cloud):
         raise ValueError("index was not built over this cloud")
     if len(cloud) and not cloud.has_ground_truth:
         raise ValueError("ground-truth instance ids are required on every point")
-    pairs = index.pairs_within(params.radius)
     gt = cloud.gt_instance
+    bounds = block_reduce(cloud.positions, params.radius, np.stack([gt, -gt], axis=1), np.minimum)
+    mixed = np.flatnonzero(bounds[:, 0] != -bounds[:, 1])
+    pairs = mixed[RadiusIndex(cloud.positions[mixed]).pairs_within(params.radius)]
     flags = np.zeros(len(cloud), dtype=bool)
     flags[pairs[gt[pairs[:, 0]] != gt[pairs[:, 1]]].ravel()] = True
     return flags

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cloiseg import RadiusIndex
 from conftest import grid_blob
-from oracles import brute_nearest_within, brute_radius_neighbors, distance_matrix_sq
+from oracles import brute_nearest_within, brute_radius_neighbors
 
 
 def test_empty_index():
@@ -106,23 +106,13 @@ def _lattices_with_duplicates(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_lattices_with_duplicates())
-def test_pairs_within_squared_distances_match_oracles(case):
+def test_pairs_within_matches_oracles_on_duplicate_lattices(case):
     positions, r = case
-    index = RadiusIndex(positions)
-    pairs, sq = index.pairs_within(r, squared_distances=True)
+    pairs = RadiusIndex(positions).pairs_within(r)
     expect = {(i, int(j)) for i in range(positions.shape[0])
               for j in brute_radius_neighbors(positions, i, r) if i < j}
     assert len(pairs) == len(expect) and {tuple(p) for p in pairs.tolist()} == expect
-    assert {tuple(p) for p in index.pairs_within(r).tolist()} == expect
-    assert pairs.dtype == np.int64 and sq.shape == (pairs.shape[0],)
-    # the oracle matrix sums the squares in the same x, y, z order
-    assert np.array_equal(sq, distance_matrix_sq(positions)[pairs[:, 0], pairs[:, 1]])
-    assert np.all(sq <= r * r)
-
-
-def test_pairs_within_squared_distances_empty_index():
-    pairs, sq = RadiusIndex(np.empty((0, 3))).pairs_within(1.0, squared_distances=True)
-    assert pairs.shape == (0, 2) and sq.shape == (0,)
+    assert pairs.dtype == np.int64
 
 
 def _nearest(index, queries, cap, workers=1):

@@ -9,8 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cloiseg.spatial
+import cloiseg.sweep
 from cloiseg import (
     ClassLabel,
+    RadiusIndex,
     InstanceLabeling,
     SegmentationParams,
     ShapeSpec,
@@ -28,9 +31,9 @@ from cloiseg import (
     sweep_radius_per_object,
     write_csv,
 )
-from cloiseg.sweep import RADIUS_SELECTION_TARGET, rows_to_csv_text
+from cloiseg.sweep import DEFAULT_EPSILONS, RADIUS_SELECTION_TARGET, rows_to_csv_text
 from conftest import grid_blob, make_cloud
-from oracles import brute_components, brute_radius_neighbors
+from oracles import brute_components, brute_radius_neighbors, distance_matrix_sq
 
 
 @pytest.fixture(scope="module")
@@ -351,3 +354,144 @@ def test_sweep_radius_on_profiles_equals_direct_runs():
             want = _direct_radius_rows(cloud, epsilons, (0.25, 0.5, 0.75))
             assert rows_to_csv_text(got[0]) == rows_to_csv_text(want[0])
             assert got[1] == want[1]
+
+
+# -- the radius sweep against brute-force components, on adversarial objects --
+
+def _brute_object(positions, eps):
+    """(component count, largest fraction) of one object by the oracles' distance rule."""
+    n = positions.shape[0]
+    iu, ju = np.nonzero(np.triu(distance_matrix_sq(positions) <= eps * eps, k=1))
+    sizes = [len(c) for c in brute_components(n, zip(iu.tolist(), ju.tolist()))]
+    return len(sizes), max(sizes) / n
+
+
+def _brute_radius_rows(cloud, epsilons, thresholds):
+    """The radius sweep's rows and selection, written out from the oracle components."""
+    ids = cloud.gt_instance
+    objects = [np.flatnonzero(ids == g) for g in sorted(set(ids.tolist()),
+                                                        key=lambda g: np.argmax(ids == g))]
+    classes = [int(cloud.class_labels[m[0]]) for m in objects]
+    rows, selected = [], None
+    for eps in epsilons:
+        largest = [_brute_object(cloud.positions[m], eps)[1] for m in objects]
+        row: dict = {"epsilon": eps}
+        for t in thresholds:
+            row[f"m_rec_ins@{t:g}"] = sum(f >= t for f in largest) / len(largest)
+        for c in ClassLabel:
+            mine = [f for f, k in zip(largest, classes) if k == int(c)]
+            row[f"rec_ins_{c.name.lower()}@0.5"] = (
+                sum(f >= 0.5 for f in mine) / len(mine) if mine else math.nan)
+        rows.append(row)
+        if selected is None and sum(f >= 0.5 for f in largest) / len(largest) >= 0.9:
+            selected = eps
+    return rows, selected
+
+
+def _assert_radius_rows_match_oracles(cloud, epsilons, thresholds=(0.25, 0.5, 1.0)):
+    got = sweep_radius_per_object(cloud, epsilons, thresholds)
+    want = _brute_radius_rows(cloud, epsilons, thresholds)
+    assert rows_to_csv_text(got[0]) == rows_to_csv_text(want[0])
+    assert got[1] == want[1]
+    # the per-object counts, which the rows only summarise
+    gt = _gt(cloud)
+    for eps in epsilons:
+        for members in gt.instances:
+            res = segment_single_object(cloud.positions[members], eps)
+            assert (res.component_count, res.largest_fraction) == _brute_object(
+                cloud.positions[members], eps)
+
+
+def _chain(start, count, spacing):
+    chain = np.zeros((count, 3))
+    chain[:, 0] = np.arange(count) * spacing
+    return chain + np.asarray(start, dtype=np.float64)
+
+
+def _adversarial_objects():
+    """Objects laid out to break the radius sweep, as (positions, classes, ground truth).
+
+    A chain spaced 2.5cm links only at the third grid value 0.03; a lattice
+    spaced 1cm is one component from the first; a 1-point and a 2-point
+    object; and two objects of one class touching 5mm apart, closer than
+    every grid radius, which must stay two objects.
+    """
+    parts = [
+        (_chain((0.0, 0.0, 0.0), 12, 0.025), 2),
+        (grid_blob((0.15, 0.1, 0.0), 27, spacing=0.01), 1),
+        (np.array([[0.3, 0.0, 0.0]]), 3),
+        (np.array([[0.3, 0.1, 0.0], [0.3, 0.1, 0.015]]), 3),
+        (_chain((0.0, 0.3, 0.0), 8, 0.015), 4),
+        (_chain((0.0, 0.305, 0.0), 8, 0.015), 4),
+    ]
+    positions = np.vstack([p for p, _ in parts])
+    classes = np.concatenate([np.full(len(p), c) for p, c in parts])
+    gt = np.repeat(np.arange(len(parts)), [len(p) for p, _ in parts])
+    return positions, classes, gt
+
+
+RADIUS_GRIDS = ((0.01, 0.02, 0.03, 0.04), (0.02, 0.02, 0.05), (0.03,), (0.045,),
+                (0.005, 0.01, 0.015, 0.025, 0.07))
+
+
+@pytest.mark.parametrize("shift", [0.0, 5e6, -5e6])
+def test_radius_sweep_matches_oracles_on_adversarial_objects(shift):
+    positions, classes, gt = _adversarial_objects()
+    cloud = make_cloud(positions + shift, classes, gt)
+    for epsilons in RADIUS_GRIDS:
+        _assert_radius_rows_match_oracles(cloud, epsilons)
+    # the chain is one component only from the third grid value on
+    chain = cloud.positions[gt == 0]
+    assert [_brute_object(chain, e)[0] for e in (0.01, 0.02, 0.03)] == [12, 12, 1]
+
+
+def test_radius_sweep_key_fallback_with_groups():
+    # a 1e-12 grid value, and a point 1e9 m out along every axis, overflow
+    # the cell keys: every block is then its whole object
+    positions, classes, gt = _adversarial_objects()
+    _assert_radius_rows_match_oracles(make_cloud(positions, classes, gt), (1e-12, 0.02, 0.03))
+    far = np.vstack([positions, [[1e9, 1e9, 1e9]]])
+    cloud = make_cloud(far, np.append(classes, 2), np.append(gt, 0))
+    for epsilons in ((0.01, 0.02, 0.03), (1e-12, 0.03)):
+        _assert_radius_rows_match_oracles(cloud, epsilons)
+
+
+def test_radius_sweep_in_small_batches(monkeypatch):
+    # batches of a few points cut the objects apart, and objects larger than
+    # a slab label their core components slab by slab
+    positions, classes, gt = _adversarial_objects()
+    cloud = make_cloud(positions, classes, gt)
+    want = {e: sweep_radius_per_object(cloud, e) for e in RADIUS_GRIDS}
+    monkeypatch.setattr(cloiseg.spatial, "SLAB_POINTS", 8)
+    for size in (1, 3, 8, 30):
+        monkeypatch.setattr(cloiseg.sweep, "BATCH_POINTS", size)
+        for epsilons in RADIUS_GRIDS:
+            got = sweep_radius_per_object(cloud, epsilons)
+            assert rows_to_csv_text(got[0]) == rows_to_csv_text(want[epsilons][0])
+            assert got[1] == want[epsilons][1]
+        _assert_radius_rows_match_oracles(cloud, (0.01, 0.02, 0.03, 0.04))
+
+
+def test_radius_sweep_enumerates_no_pairs_for_an_object_in_one_piece(monkeypatch):
+    # pairs_within calls as (points, radius, pairs): a lattice spaced 1cm is
+    # one component at the first radius, and a chain spaced 2.5cm beside it
+    # at the third; no later radius enumerates a pair of either
+    calls = []
+    pairs_within = RadiusIndex.pairs_within
+
+    def recording(self, r):
+        pairs = pairs_within(self, r)
+        calls.append((len(self), r, len(pairs)))
+        return pairs
+
+    monkeypatch.setattr(RadiusIndex, "pairs_within", recording)
+    blob = grid_blob((0.0, 0.0, 0.0), 27, spacing=0.01)
+    chain = _chain((0.02, 0.0, 0.0), 6, 0.025)
+    cloud = make_cloud(np.vstack([blob, chain]), 2, np.repeat([0, 1], [27, 6]))
+    rows, _ = sweep_radius_per_object(cloud, DEFAULT_EPSILONS, thresholds=(1.0,))
+    assert [r["m_rec_ins@1"] for r in rows] == [0.5, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0]
+    # the core pairs (0.6 of 1cm: none); at 1cm the lattice's 54 edges, the
+    # chain's points lying more than a cell apart; at 2cm only the chain's
+    # points are mixed, each blob point's block holding its own label alone;
+    # at 3cm the chain's 5 links; then nothing
+    assert calls == [(33, 0.006, 0), (27, 0.01, 54), (6, 0.02, 0), (6, 0.03, 5)]
