@@ -25,12 +25,10 @@ cannot join two components. Only the other, mixed, points get a tree, and
 their epsilon-pairs join the core labels. The labels stay smallest members,
 so the result equals one labelling of every epsilon-pair.
 
-The per-object radius study (``_fragmentation_by_radius``) reuses both
-rounds. Its first radius runs them with pairs kept inside one object. The
-components at a smaller radius are parts of those at a larger one (single
-linkage), so each later radius starts from the labels of the radius before
-and runs only the join step, with the objects as the groups of the cell
-blocks: a point is mixed only by two labels of its own object.
+The per-object radius study (``_fragmentation_by_radius``) labels every
+pair within its first, smallest, radius. The components at a smaller radius
+are parts of those at a larger one (single linkage), so each later radius
+starts from the labels of the radius before and runs only the join step.
 
 A class of more than ``spatial.SLAB_POINTS`` interior points enumerates its
 core pairs slab by slab (``slabs``) and reduces each slab's pairs to a
@@ -175,17 +173,16 @@ def connected_components(
 
 
 def _smallest_members(
-    index: RadiusIndex, members: np.ndarray, epsilon: float, predicate=None, groups=None
+    index: RadiusIndex, members: np.ndarray, epsilon: float, predicate=None
 ) -> np.ndarray:
     """Per point of ``index``, the smallest of ``members`` in its epsilon-component.
 
     ``index`` holds the points with ascending global ids ``members``, in that
-    order; ``predicate(i, j)`` filters the pairs by global id, and ``groups``
-    (per point of ``index``, or None) are passed to ``_join_mixed``. The
-    labelling runs on local ids, and mapping a local smallest member back
-    through the ascending ids gives the global smallest member. Core
-    components come first, then the epsilon-pairs of the mixed points join
-    them (see the module docstring).
+    order; ``predicate(i, j)`` filters the pairs by global id. The labelling
+    runs on local ids, and mapping a local smallest member back through the
+    ascending ids gives the global smallest member. Core components come
+    first, then the epsilon-pairs of the mixed points join them (see the
+    module docstring).
     """
     def links(ids, pairs):
         """Those of ``pairs``, local ids into ``ids``, that the predicate keeps."""
@@ -195,26 +192,25 @@ def _smallest_members(
         return pairs[np.asarray(predicate(ends[pairs[:, 0]], ends[pairs[:, 1]]), dtype=bool)]
 
     labels = _core_labels(index, CORE_FRACTION * epsilon, links)
-    return members[_join_mixed(index.positions, labels, epsilon, links, groups)]
+    return members[_join_mixed(index.positions, labels, epsilon, links)]
 
 
-def _join_mixed(positions: np.ndarray, labels: np.ndarray, radius: float, links, groups=None):
+def _join_mixed(positions: np.ndarray, labels: np.ndarray, radius: float, links=None):
     """Smallest-member ``labels`` after joining every two components with a pair within ``radius``.
 
     ``labels`` are smallest members, ids into ``positions``; ``links(ids,
-    pairs)`` filters pairs of local ids into ``ids``. A point whose block
-    (``block_reduce``, side >= radius) holds its own label only has every
-    neighbour in its own component, so only the mixed points, whose block
-    holds two labels, enumerate pairs. With ``groups``, blocks hold only
-    the point's group, so a group's point is not mixed by another group's.
+    pairs)``, if given, filters pairs of local ids into ``ids``. A point
+    whose block (``block_reduce``, side >= radius) holds its own label only
+    has every neighbour in its own component, so only the mixed points,
+    whose block holds two labels, enumerate pairs.
     """
-    bounds = block_reduce(positions, radius, np.stack([labels, -labels], axis=1), np.minimum,
-                          groups)
+    bounds = block_reduce(positions, radius, np.stack([labels, -labels], axis=1), np.minimum)
     mixed = np.flatnonzero(bounds[:, 0] != -bounds[:, 1])
     if mixed.size:
         pairs = RadiusIndex(positions[mixed]).pairs_within(radius)
-        joins = labels[mixed[links(mixed, pairs)]]
-        labels = _component_labels(labels.size, joins)[labels]
+        if links is not None:
+            pairs = links(mixed, pairs)
+        labels = _component_labels(labels.size, labels[mixed[pairs]])[labels]
     return labels
 
 
@@ -368,42 +364,30 @@ def segment_single_object(positions: np.ndarray, epsilon: float) -> SingleObject
         raise ValueError("object has no points")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    objects = np.zeros(positions.shape[0], dtype=np.int64)
-    (count,), (largest,) = _fragmentation_by_radius(positions, objects, (epsilon,))
-    return SingleObjectResult(int(count[0]), float(largest[0]))
+    return _fragmentation_by_radius(positions, (epsilon,))[0]
 
 
 def _fragmentation_by_radius(
-    positions: np.ndarray, objects: np.ndarray, epsilons: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """``segment_single_object`` per object at every radius of a valid ascending grid.
+    positions: np.ndarray, epsilons: Sequence[float]
+) -> list[SingleObjectResult]:
+    """``segment_single_object`` at every radius of a valid ascending grid.
 
-    ``objects`` numbers each point's object 0, 1, ..., every number used.
-    Returns the component counts and largest fractions, each of shape
-    (radii, objects). Pairs join only points of one object, and the objects
-    are the groups of the cell blocks (see the module docstring). An object
-    that is one component has no mixed point, so it enumerates no more pairs.
+    The first radius labels all its pairs (``_core_labels``, slab by slab
+    for a large object); each later radius starts from the labels of the
+    radius before and runs only the join step (see the module docstring).
+    An object in one piece has no mixed point, so every later radius gives
+    the same result.
     """
     n = positions.shape[0]
-    ids = np.arange(n)
-
-    def same_object(i, j):
-        return objects[i] == objects[j]
-
-    def links(local, pairs):
-        return pairs[same_object(local[pairs[:, 0]], local[pairs[:, 1]])]
-
-    sizes = np.bincount(objects)
-    counts = np.zeros((len(epsilons), sizes.size), dtype=np.int64)
-    largest = np.zeros((len(epsilons), sizes.size), dtype=np.int64)
+    results = []
     for k, eps in enumerate(epsilons):
         if k == 0:
-            labels = _smallest_members(RadiusIndex(positions), ids, eps, same_object, objects)
+            labels = _core_labels(RadiusIndex(positions), eps, lambda ids, pairs: pairs)
         else:
-            labels = _join_mixed(positions, labels, eps, links, objects)
-        # labels are smallest members, so the components are their roots
-        component_sizes = np.bincount(labels, minlength=n)
-        roots = np.flatnonzero(component_sizes)
-        counts[k] = np.bincount(objects[roots], minlength=sizes.size)
-        np.maximum.at(largest[k], objects[roots], component_sizes[roots])
-    return counts, largest / sizes
+            labels = _join_mixed(positions, labels, eps)
+        # labels stay smallest members, so the components are the nonzero counts
+        sizes = np.bincount(labels)
+        results.append(SingleObjectResult(int(np.count_nonzero(sizes)), float(sizes.max() / n)))
+        if results[-1].component_count == 1:
+            return results + results[-1:] * (len(epsilons) - k - 1)
+    return results

@@ -9,15 +9,14 @@ cells around its own, with cubic cells a little wider than a radius. Every
 point within that radius of a point lies in its block (and each in the
 other's), so where a block's values show that no neighbour can matter, a
 neighbour query may skip the point. Boundary flags, links and the radius
-sweep use it so (see ``boundary`` and ``segmentation``); per-point groups
-keep each group's blocks apart. Rounding cannot break the rule: a cell
-is wider than the radius by a relative ``CELL_MARGIN``, which covers the
-rounding of the distance rule, plus ``CELL_ULPS`` units in the last place of
-the cloud's largest extent, which cover the rounding of ``x - min`` and of
-the division by the side. A relative hair alone is not enough: at UTM-size
+sweep use it so (see ``boundary`` and ``segmentation``). Rounding cannot
+break the rule: a cell is wider than the radius by a relative
+``CELL_MARGIN``, which covers the rounding of the distance rule, plus
+``CELL_ULPS`` units in the last place of the cloud's largest extent, which
+cover the rounding of ``x - min`` and of the division by the side. A relative hair alone is not enough: at UTM-size
 coordinates ``x - min`` rounds by ~1e-9 m. When the int64 cell key could
 overflow (say, with one point 1e9 m from the rest), every point's block is
-its whole group, or the whole cloud, so nothing is skipped.
+the whole cloud, so nothing is skipped.
 
 ``slabs`` cuts a large cloud along its widest axis into overlapping slabs
 that hold every pair within a radius, with the same margin, so that pairs
@@ -34,10 +33,8 @@ import numpy as np
 CELL_MARGIN = 1e-6
 #: ... plus this many units in the last place of the cloud's largest extent.
 CELL_ULPS = 16
-# cell keys stay below this; a larger grid falls back to one block per group
+# cell keys stay below this; a larger grid falls back to one block
 _KEY_LIMIT = 2.0**62
-# block_reduce gathers about this many cells at once
-_GATHER_CELLS = 1 << 16
 #: ``slabs`` cuts clouds larger than this many points
 SLAB_POINTS = 1 << 17
 
@@ -129,9 +126,7 @@ class RadiusIndex:
         return rows[keep], cands[keep]
 
 
-def block_reduce(
-    positions: np.ndarray, radius: float, values: np.ndarray, ufunc, groups: np.ndarray | None = None
-) -> np.ndarray:
+def block_reduce(positions: np.ndarray, radius: float, values: np.ndarray, ufunc) -> np.ndarray:
     """Per point, ``ufunc`` reduced over the ``values`` of every point in its block.
 
     A block is the 3x3x3 cells around the point's own; cells are cubes of side
@@ -139,15 +134,8 @@ def block_reduce(
     point within ``radius`` by the closed-ball rule of this module lies in the
     block (and, blocks being symmetric, each lies in the other's). ``values``
     has one row per point; ``ufunc`` is an idempotent binary ufunc, such as
-    ``np.bitwise_or`` or ``np.minimum``. ``groups``, small non-negative ints
-    (one per point), split the cells: the group is the slowest part of the
-    cell key, so a block holds only points of its point's group. If the cell
-    keys of every group could overflow int64, every point's block is its
-    whole group (or the whole cloud, without groups).
-
-    A block's 9 runs of cells are reduced a few at a time, one at a time
-    where the occupied cells are many, so that no gather over all of them
-    is held 9 times over.
+    ``np.bitwise_or`` or ``np.minimum``. If the cell keys could overflow int64,
+    every point's block is the whole cloud.
     """
     positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
     values = np.asarray(values)
@@ -160,15 +148,10 @@ def block_reduce(
     side = radius * (1.0 + CELL_MARGIN) + CELL_ULPS * np.spacing(span.max())
     # a spare cell at each end of each axis, so that no offset wraps a row
     dims = np.floor(span / side) + 3
-    n_groups = 1 if groups is None else int(groups.max()) + 1
-    if np.prod(dims) * n_groups >= _KEY_LIMIT:
-        # one cell per group, which every point's block holds
-        side, dims = np.inf, np.full(3, 3.0)
+    if np.prod(dims) >= _KEY_LIMIT:
+        return np.broadcast_to(ufunc.reduce(values, axis=0), values.shape).copy()
     strides = np.cumprod(dims[::-1].astype(np.int64))[::-1]
     key = np.zeros(positions.shape[0], dtype=np.int64)
-    if groups is not None:
-        key += groups
-        key *= strides[0]
     for x, x0, stride in zip(coords, lo, (*strides[1:], 1)):
         # x - x0 >= 0, so truncation is the floor
         cell = ((x - x0) / side).astype(np.int64)
@@ -187,24 +170,19 @@ def block_reduce(
     del starts
     own = ufunc.reduceat(values[order], first, axis=0)
     del order
-    # a block is 9 runs of 3 consecutive keys, none leaving its group; cells
-    # are unique and sorted, so each run's occupied cells are among the 3
-    # from where it would start. A miss reads the cell itself, which an
-    # idempotent ufunc ignores. Runs are taken a few at a time, so that a
-    # gather holds about _GATHER_CELLS cells, but at least one run
+    # a block is 9 runs of 3 consecutive keys; cells are unique and sorted,
+    # so each run's occupied cells are among the 3 from where it would start.
+    # A miss reads the cell itself, which an idempotent ufunc ignores
     sx, sy = strides[1:]
-    offsets = np.array([[dx + dy - 1] for dx in (-sx, 0, sx) for dy in (-sy, 0, sy)])
-    runs = max(1, _GATHER_CELLS // cells.size)
+    low = np.array([[dx + dy - 1] for dx in (-sx, 0, sx) for dy in (-sy, 0, sy)]) + cells
+    start = np.searchsorted(cells, low)
     itself = np.arange(cells.size)
     block = own
-    for first_run in range(0, 9, runs):
-        low = offsets[first_run:first_run + runs] + cells
-        start = np.searchsorted(cells, low)
-        for step in range(3):
-            at = np.minimum(start + step, cells.size - 1)
-            found = cells[at]
-            at = np.where((found >= low) & (found <= low + 2), at, itself)
-            block = ufunc(block, ufunc.reduce(own[at], axis=0))
+    for step in range(3):
+        at = np.minimum(start + step, cells.size - 1)
+        found = cells[at]
+        at = np.where((found >= low) & (found <= low + 2), at, itself)
+        block = ufunc(block, ufunc.reduce(own[at], axis=0))
     return block[cell_of]
 
 

@@ -5,8 +5,9 @@ Every sweep row equals the result of a direct call with the same parameters:
 ``segment_single_object`` per ground-truth object for the radius sweep.
 Sweeps may share work between rows where that keeps them equal: the mu
 sweep segments once and applies each minimum size to that result, and the
-radius sweep starts each radius from the components of the radius before
-and joins them only at mixed points (see ``_fragmentation_by_radius``).
+radius sweep starts each radius after the first from the components of the
+radius before and joins them only at mixed points (see
+``_fragmentation_by_radius``).
 Rows are plain dicts meant for CSV emission; plotting is out of scope.
 During epsilon sweeps the boundary radius tracks epsilon unless explicitly
 overridden; the radius sweep flags no boundaries, so it has no boundary
@@ -28,7 +29,6 @@ from .model import ClassLabel, LabeledPointCloud, atomic_open
 from .segmentation import (
     InstanceLabeling,
     SegmentationParams,
-    SingleObjectResult,
     _fragmentation_by_radius,
     _mu_filter,
     _segment_before_mu,
@@ -40,12 +40,6 @@ DEFAULT_EPSILONS = (0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07)
 DEFAULT_MUS = (10, 20, 50, 100, 150, 200)
 RADIUS_SELECTION_TARGET = 0.9
 RADIUS_SELECTION_THRESHOLD = 0.5
-#: The radius sweep labels objects in batches of at most this many points (a
-#: larger object alone). A batch pays one cell-block pass per radius and holds
-#: its pairs at once: on 2000 objects of 25 points in 5 mm cubes, one object
-#: at a time took 0.5 s, batches of 1024 points 0.26 s at the same peak RSS,
-#: and batches of 131072 points 0.23 s at a 30 MB higher peak.
-BATCH_POINTS = 1 << 10
 
 
 def _check_grid(
@@ -157,10 +151,9 @@ def sweep_radius_per_object(
     """Per-object fragmentation study over the radius grid.
 
     Each ground-truth instance is clustered in isolation at every radius, as
-    ``segment_single_object`` does. Instances are labelled together in
-    batches (``BATCH_POINTS``); each radius starts from the labels of the
-    radius before and joins them only at the points whose cell block holds
-    two labels of their own instance.
+    ``segment_single_object`` does. Each radius after the first starts from
+    the labels of the radius before and joins them only at the points whose
+    cell block holds two labels.
     Returns the rows plus the smallest radius whose mRec_ins at IoU 0.5
     reaches 90%, or None if no grid value qualifies.
     """
@@ -169,15 +162,11 @@ def sweep_radius_per_object(
     gt = _gt_labeling(cloud)
     if gt.n_instances == 0:
         raise ValueError("cloud has no ground-truth instances")
-    found = [_fragmentation_by_radius(cloud.positions[np.concatenate(batch)],
-                                      np.repeat(np.arange(len(batch)), [m.size for m in batch]),
-                                      epsilons)
-             for batch in _object_batches(gt.instances)]
-    counts, largest = (np.hstack(parts) for parts in zip(*found))
+    per_object = [_fragmentation_by_radius(cloud.positions[m], epsilons) for m in gt.instances]
     rows = []
     selected = None
-    for eps, count, fraction in zip(epsilons, counts, largest):
-        results = [SingleObjectResult(int(c), float(f)) for c, f in zip(count, fraction)]
+    for k, eps in enumerate(epsilons):
+        results = [by_radius[k] for by_radius in per_object]
         row: dict = {"epsilon": eps}
         for t in thresholds:
             row[f"m_rec_ins@{t:g}"] = rec_ins(results, t)
@@ -191,22 +180,6 @@ def sweep_radius_per_object(
                                  >= RADIUS_SELECTION_TARGET):
             selected = eps
     return rows, selected
-
-
-def _object_batches(instances: Sequence[np.ndarray]):
-    """Consecutive runs of ``instances`` of at most ``BATCH_POINTS`` points each.
-
-    An instance larger than that is a batch of its own.
-    """
-    batch, held = [], 0
-    for members in instances:
-        if batch and held + members.size > BATCH_POINTS:
-            yield batch
-            batch, held = [], 0
-        batch.append(members)
-        held += members.size
-    if batch:
-        yield batch
 
 
 def facility_bias_report(

@@ -193,32 +193,6 @@ def test_block_reduce_covers_every_ball(rng):
     assert got.tolist() == [[4, -7], [4, -7], [9, -9]]
 
 
-def test_block_reduce_groups_split_the_blocks(rng):
-    # groups interleaved in space: a block holds its own group only, and
-    # still every point of that group within the radius
-    for shift in (0.0, 5e6):
-        pos = rng.random((300, 3)) * 0.3 + shift
-        groups = rng.integers(0, 4, 300)
-        values = rng.integers(0, 1000, 300)
-        near = (distance_matrix_sq(pos) <= 0.05 ** 2) & (groups[:, None] == groups[None, :])
-        block = block_reduce(pos, 0.05, values, np.minimum, groups)
-        assert (block <= np.where(near, values[None, :], 1000).min(axis=1)).all()
-        assert (block >= np.array([values[groups == g].min() for g in groups])).all()
-    # when the keys would overflow, a block is the whole group
-    pos = np.array([[0.0, 0, 0], [0.05, 0, 0], [1e9, 1e9, 1e9], [2.0, 0, 0]])
-    got = block_reduce(pos, EPS, np.array([4, 7, 9, 1]), np.minimum, np.array([1, 0, 1, 0]))
-    assert got.tolist() == [4, 1, 4, 1]
-    pos = np.array([[0.0, 0, 0], [0.05, 0.05, 0.05], [0.05, 0, 0]])
-    got = block_reduce(pos, 1e-12, np.array([4, 7, 9]), np.minimum, np.array([0, 0, 1]))
-    assert got.tolist() == [4, 4, 9]
-    # a grid of 0.75 * 2**62 cells fits one group's keys, but not two groups'
-    pos = np.array([[0.0, 0, 0], [1.0, 1, 1], [0.5, 0.5, 0.5], [0.5, 0.5, 0.501]])
-    values = np.array([4, 7, 9, 1])
-    assert block_reduce(pos, 6.6e-7, values, np.minimum).tolist() == [4, 7, 9, 1]
-    got = block_reduce(pos, 6.6e-7, values, np.minimum, np.array([0, 0, 1, 1]))
-    assert got.tolist() == [4, 4, 1, 1]
-
-
 @pytest.mark.parametrize("shift", [0.0, 5e6, -5e6])
 def test_gt_boundaries_at_exactly_the_radius(shift):
     # ground-truth instances in slabs of the tie lattice touch at exactly
@@ -231,8 +205,10 @@ def test_gt_boundaries_at_exactly_the_radius(shift):
         flags = detect_gt_instance_boundaries(cloud, RadiusIndex(cloud.positions),
                                               BoundaryParams(r))
         assert flags.tolist() == brute_class_boundaries(pos, gt, r).tolist()
-        # (the instances' slabs lie one lattice step apart)
-        assert flags.any() == (r > CORE) or (shift and r == EPS)
+        # the instances' slabs lie one lattice step apart, which the shift
+        # rounds to either side of epsilon
+        if not (shift and r == EPS):
+            assert flags.any() == (r > CORE)
 
 
 @pytest.fixture

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cloiseg.spatial
-import cloiseg.sweep
 from cloiseg import (
     ClassLabel,
     RadiusIndex,
@@ -445,9 +444,9 @@ def test_radius_sweep_matches_oracles_on_adversarial_objects(shift):
     assert [_brute_object(chain, e)[0] for e in (0.01, 0.02, 0.03)] == [12, 12, 1]
 
 
-def test_radius_sweep_key_fallback_with_groups():
+def test_radius_sweep_key_fallback():
     # a 1e-12 grid value, and a point 1e9 m out along every axis, overflow
-    # the cell keys: every block is then its whole object
+    # the cell keys: every block is then the whole object
     positions, classes, gt = _adversarial_objects()
     _assert_radius_rows_match_oracles(make_cloud(positions, classes, gt), (1e-12, 0.02, 0.03))
     far = np.vstack([positions, [[1e9, 1e9, 1e9]]])
@@ -456,20 +455,17 @@ def test_radius_sweep_key_fallback_with_groups():
         _assert_radius_rows_match_oracles(cloud, epsilons)
 
 
-def test_radius_sweep_in_small_batches(monkeypatch):
-    # batches of a few points cut the objects apart, and objects larger than
-    # a slab label their core components slab by slab
+def test_radius_sweep_in_small_slabs(monkeypatch):
+    # objects larger than a slab label their first radius slab by slab
     positions, classes, gt = _adversarial_objects()
     cloud = make_cloud(positions, classes, gt)
     want = {e: sweep_radius_per_object(cloud, e) for e in RADIUS_GRIDS}
     monkeypatch.setattr(cloiseg.spatial, "SLAB_POINTS", 8)
-    for size in (1, 3, 8, 30):
-        monkeypatch.setattr(cloiseg.sweep, "BATCH_POINTS", size)
-        for epsilons in RADIUS_GRIDS:
-            got = sweep_radius_per_object(cloud, epsilons)
-            assert rows_to_csv_text(got[0]) == rows_to_csv_text(want[epsilons][0])
-            assert got[1] == want[epsilons][1]
-        _assert_radius_rows_match_oracles(cloud, (0.01, 0.02, 0.03, 0.04))
+    for epsilons in RADIUS_GRIDS:
+        got = sweep_radius_per_object(cloud, epsilons)
+        assert rows_to_csv_text(got[0]) == rows_to_csv_text(want[epsilons][0])
+        assert got[1] == want[epsilons][1]
+    _assert_radius_rows_match_oracles(cloud, (0.01, 0.02, 0.03, 0.04))
 
 
 def test_radius_sweep_enumerates_no_pairs_for_an_object_in_one_piece(monkeypatch):
@@ -490,8 +486,8 @@ def test_radius_sweep_enumerates_no_pairs_for_an_object_in_one_piece(monkeypatch
     cloud = make_cloud(np.vstack([blob, chain]), 2, np.repeat([0, 1], [27, 6]))
     rows, _ = sweep_radius_per_object(cloud, DEFAULT_EPSILONS, thresholds=(1.0,))
     assert [r["m_rec_ins@1"] for r in rows] == [0.5, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0]
-    # the core pairs (0.6 of 1cm: none); at 1cm the lattice's 54 edges, the
-    # chain's points lying more than a cell apart; at 2cm only the chain's
-    # points are mixed, each blob point's block holding its own label alone;
-    # at 3cm the chain's 5 links; then nothing
-    assert calls == [(33, 0.006, 0), (27, 0.01, 54), (6, 0.02, 0), (6, 0.03, 5)]
+    # each object enumerates every pair at 1cm: the lattice's 54 edges make
+    # it one piece, and it enumerates nothing more; the chain has no pair.
+    # At 2cm only the chain's points whose block holds another chain point
+    # are mixed (5 of 6), with no pair; at 3cm its 5 links; then nothing
+    assert calls == [(27, 0.01, 54), (6, 0.01, 0), (5, 0.02, 0), (6, 0.03, 5)]
