@@ -11,7 +11,7 @@ bits over each point's block of cells (side >= the radius), which holds every
 point within the radius. A point whose block holds no other class has no
 other-class neighbour, so it is not queried; and a point's other-class
 neighbours all have its class in their blocks, so each class is queried
-against a tree over only such points of the other classes. Both cuts drop
+against an index over only such points of the other classes. Both cuts drop
 only points no query could return, so the flags are exact. Ground-truth
 flags take the same cut with the smallest and largest id of each block:
 only points whose block holds two ids enumerate pairs.
@@ -45,13 +45,11 @@ class BoundaryStats(NamedTuple):
     ratio: float
 
 
-def _class_boundary_flags(
-    positions: np.ndarray, classes: np.ndarray, radius: float, workers: int = 1
-) -> np.ndarray:
+def _class_boundary_flags(positions: np.ndarray, classes: np.ndarray, radius: float) -> np.ndarray:
     """Per point: does its nearest other-class point lie within ``radius`` (inclusive)?
 
     For each class, ``nearest_within`` queries the points of the class whose
-    block holds another class against a tree over the points of the other
+    block holds another class against an index over the points of the other
     classes whose block holds this one (see the module docstring); the rows
     it returns are exactly the boundary points.
     """
@@ -64,8 +62,7 @@ def _class_boundary_flags(
         if members.size == 0:
             continue
         others = np.flatnonzero((bits != bit) & (near & bit != 0))
-        rows, _ = RadiusIndex(positions[others]).nearest_within(positions[members], radius,
-                                                                workers=workers)
+        rows, _ = RadiusIndex(positions[others]).nearest_within(positions[members], radius)
         flags[members[rows]] = True
     return flags
 
@@ -75,7 +72,7 @@ def detect_class_boundaries(
 ) -> np.ndarray:
     """Boolean flag per point: has a different-class neighbor within the radius.
 
-    ``index`` must be built over ``cloud``; the flags come from per-class trees.
+    ``index`` must be built over ``cloud``; the flags come from per-class indexes.
     """
     if len(index) != len(cloud):
         raise ValueError("index was not built over this cloud")

@@ -141,7 +141,8 @@ def build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--threads", type=int, default=None,
-                       help=f"worker cap (default: all cores, or ${THREADS_ENV_VAR})")
+                       help=f"accepted and validated, no effect: every command runs in one "
+                            f"thread (default: all cores, or ${THREADS_ENV_VAR})")
         p.add_argument("--quiet", action="store_true", help="suppress stderr status lines")
 
     p = sub.add_parser("synth", help="generate a synthetic labeled scene")
@@ -230,7 +231,7 @@ def _cmd_boundary(cfg: RunConfig) -> int:
         flags = detect_gt_instance_boundaries(cloud, RadiusIndex(cloud.positions),
                                               BoundaryParams(radius))
     else:
-        flags = _class_boundary_flags(cloud.positions, cloud.class_labels, radius, cfg.threads)
+        flags = _class_boundary_flags(cloud.positions, cloud.class_labels, radius)
     save_pts(cloud, cfg.output, include_predictions=cloud.has_predictions, extra_column=flags)
     cfg.log(f"flagged {int(flags.sum())} of {len(cloud)} points")
     return 0

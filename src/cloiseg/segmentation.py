@@ -4,12 +4,12 @@ Pipeline: detect class boundaries, connect interior points of equal class
 within the link radius, take connected components as provisional instances,
 reattach each boundary point to its nearest same-class instance (capped at
 3x the link radius), drop instances smaller than the minimum size to NOISE,
-then renumber canonically. Deterministic for a given input, independent of
-the number of worker threads.
+then renumber canonically. Deterministic for a given input; every step runs
+in one thread, and the ``workers`` arguments are accepted but have no effect.
 
 Each step is per class. A point is a boundary point when its nearest point
 of another class lies within the boundary radius, one rule for every radius.
-One tree over a class's interior points serves both of its other steps:
+One index over a class's interior points serves both of its other steps:
 links are enumerated over it, so pairs across classes or with a boundary
 point never arise, and the class's boundary points then query it for their
 nearest instance. A numpy union-find labels each interior point with the
@@ -21,8 +21,8 @@ come first, from the pairs within ``CORE_FRACTION`` of epsilon, which are
 epsilon-pairs too. Then one join step (``_join_mixed``): a point whose block
 of cells (side >= epsilon, ``block_reduce``) holds a single core label has
 all its epsilon-neighbours in its own core component, so its epsilon-pairs
-cannot join two components. Only the other, mixed, points get a tree, and
-their epsilon-pairs join the core labels. The labels stay smallest members,
+cannot join two components. Only the other, mixed, points get an index,
+and their epsilon-pairs join the core labels. The labels stay smallest members,
 so the result equals one labelling of every epsilon-pair.
 
 The per-object radius study (``_fragmentation_by_radius``) labels every
@@ -33,8 +33,7 @@ starts from the labels of the radius before and runs only the join step.
 A class of more than ``spatial.SLAB_POINTS`` interior points enumerates its
 core pairs slab by slab (``slabs``) and reduces each slab's pairs to a
 spanning forest before the next, so that it holds one slab's pairs at a
-time; its interior tree is built only after the core labels, for the
-reattachment.
+time; its interior index then serves the reattachment alone.
 """
 
 from __future__ import annotations
@@ -282,7 +281,7 @@ def segment_with_details(
     cloud: LabeledPointCloud, params: SegmentationParams | None = None, workers: int | None = None
 ) -> tuple[InstanceLabeling, SegmentationDetails]:
     params = params or SegmentationParams()
-    assignment, details = _segment_before_mu(cloud, params, workers)
+    assignment, details = _segment_before_mu(cloud, params)
     assignment, dropped_instances, dropped_points = _mu_filter(assignment, params.mu)
     labeling = InstanceLabeling.from_assignment(assignment, cloud.class_labels)
     return labeling, replace(details, dropped_instances=dropped_instances,
@@ -290,7 +289,7 @@ def segment_with_details(
 
 
 def _segment_before_mu(
-    cloud: LabeledPointCloud, params: SegmentationParams, workers: int | None
+    cloud: LabeledPointCloud, params: SegmentationParams
 ) -> tuple[np.ndarray, SegmentationDetails]:
     """Every stage but the size filter: the assignment after reattachment.
 
@@ -299,15 +298,14 @@ def _segment_before_mu(
     n = len(cloud)
     if n == 0:
         return np.empty(0, dtype=np.int64), SegmentationDetails(np.zeros(0, dtype=bool), 0, 0, 0)
-    workers = workers or -1
     eps = params.epsilon
     positions, classes = cloud.positions, cloud.class_labels
-    flags = _class_boundary_flags(positions, classes, params.resolved_boundary_radius, workers)
+    flags = _class_boundary_flags(positions, classes, params.resolved_boundary_radius)
 
     # labels are smallest members of provisional instances, or NOISE
     labels = np.full(n, NOISE, dtype=np.int64)
     for c in np.unique(classes[~flags]):
-        _label_class(positions, np.flatnonzero(classes == c), flags, labels, eps, workers)
+        _label_class(positions, np.flatnonzero(classes == c), flags, labels, eps)
 
     # a label is its instance's smallest member, an interior point, so
     # ranking the roots numbers the instances canonically
@@ -321,21 +319,19 @@ def _segment_before_mu(
 
 def _label_class(
     positions: np.ndarray, members: np.ndarray, flags: np.ndarray, labels: np.ndarray,
-    epsilon: float, workers: int,
+    epsilon: float,
 ) -> None:
-    """Label the points ``members`` of one class in place, from one tree over its interior.
+    """Label the points ``members`` of one class in place, from one index over its interior.
 
     Interior points take the smallest member of their epsilon-component. Each
     boundary point then joins its nearest interior point within the closed
     reattachment cap; exact ties go to the lowest label, which is the lowest
-    instance id. Boundary points never bridge instances. The tree is freed
-    on return, before the next class builds its own.
+    instance id. Boundary points never bridge instances.
     """
     interior, boundary = members[~flags[members]], members[flags[members]]
     index = RadiusIndex(positions[interior])
     labels[interior] = _smallest_members(index, interior, epsilon)
-    rows, nearest = index.nearest_within(positions[boundary], REATTACH_CAP_FACTOR * epsilon,
-                                         workers=workers)
+    rows, nearest = index.nearest_within(positions[boundary], REATTACH_CAP_FACTOR * epsilon)
     hit_rows, starts = np.unique(rows, return_index=True)
     labels[boundary[hit_rows]] = np.minimum.reduceat(labels[interior[nearest]], starts)
 
@@ -376,11 +372,14 @@ def _fragmentation_by_radius(
     for a large object); each later radius starts from the labels of the
     radius before and runs only the join step (see the module docstring).
     An object in one piece has no mixed point, so every later radius gives
-    the same result.
+    the same result, and a radius equal to the one before repeats its result.
     """
     n = positions.shape[0]
     results = []
     for k, eps in enumerate(epsilons):
+        if k and eps == epsilons[k - 1]:
+            results.append(results[-1])
+            continue
         if k == 0:
             labels = _core_labels(RadiusIndex(positions), eps, lambda ids, pairs: pairs)
         else:

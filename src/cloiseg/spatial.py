@@ -1,22 +1,31 @@
-"""Fixed-radius neighbor index over 3D point positions, and cell blocks that prune it.
+"""Exact fixed-radius neighbour queries over 3D point positions, on a grid of cells.
 
-Queries use the closed ball (d <= r, Euclidean); results are exact, equal to
-the brute-force neighbor set. An index answers the same after construction
-(its tree is built by the first query) and is safe to share across threads.
+Queries use the closed ball (d <= r, Euclidean, squares summed as
+``dx*dx + dy*dy + dz*dz``); results are exact, equal to the brute-force
+neighbour set. An index holds only its points, so it answers the same after
+construction and is safe to share across threads.
 
-``block_reduce`` reduces a per-point value over each point's block: the 3x3x3
-cells around its own, with cubic cells a little wider than a radius. Every
-point within that radius of a point lies in its block (and each in the
-other's), so where a block's values show that no neighbour can matter, a
+Every query sorts its points into cubic cells a little wider than its radius
+(grid DBSCAN: de Berg, Gunawan & Mehr, ISAAC 2017). Every point within that
+radius of a point lies in its block: the 3x3x3 cells around its own (and
+each in the other's). Pair and nearest queries test each point of a block
+exactly; ``block_reduce`` reduces a per-point value over each point's block,
+so that where a block's values show that no neighbour can matter, a
 neighbour query may skip the point. Boundary flags, links and the radius
 sweep use it so (see ``boundary`` and ``segmentation``). Rounding cannot
 break the rule: a cell is wider than the radius by a relative
 ``CELL_MARGIN``, which covers the rounding of the distance rule, plus
 ``CELL_ULPS`` units in the last place of the cloud's largest extent, which
-cover the rounding of ``x - min`` and of the division by the side. A relative hair alone is not enough: at UTM-size
-coordinates ``x - min`` rounds by ~1e-9 m. When the int64 cell key could
-overflow (say, with one point 1e9 m from the rest), every point's block is
-the whole cloud, so nothing is skipped.
+cover the rounding of ``x - min`` and of the division by the side. A
+relative hair alone is not enough: at UTM-size coordinates ``x - min``
+rounds by ~1e-9 m.
+
+Cell keys cannot overflow, however far apart the points lie. Along each
+axis, occupied cells more than one cell apart are brought to two apart,
+which keeps every pair of neighbouring cells neighbours and no other, so an
+axis spans fewer than 2N + 3 cells. A cell's key is the rank of its (x, y)
+column times the z extent plus its z cell, and a block is 9 runs of 3
+consecutive keys, one run per column.
 
 ``slabs`` cuts a large cloud along its widest axis into overlapping slabs
 that hold every pair within a radius, with the same margin, so that pairs
@@ -25,18 +34,27 @@ can be enumerated one slab at a time.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 #: Cells are wider than their radius by this fraction of it ...
 CELL_MARGIN = 1e-6
 #: ... plus this many units in the last place of the cloud's largest extent.
 CELL_ULPS = 16
-# cell keys stay below this; a larger grid falls back to one block
-_KEY_LIMIT = 2.0**62
+# points are sorted on one int64 key (column, z) when the grid has fewer
+# cells than this, and by column, then z, otherwise
+_KEY_LIMIT = 2**63
 #: ``slabs`` cuts clouds larger than this many points
 SLAB_POINTS = 1 << 17
+#: pair and nearest queries test their candidate points in chunks of about this many
+CANDIDATE_BUDGET = 1 << 17
+#: ``nearest_within`` queries within these fractions of its cap in turn; a
+#: row whose nearest point lies within one is final, the rest go on
+NEAREST_TIERS = (1 / 3, 1.0)
+
+# the 9 columns (dx, dy) of a block, and the 4 of them that follow the
+# block's own column in key order
+_BLOCK = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
+_FORWARD = ((0, 1), (1, -1), (1, 0), (1, 1))
 
 
 def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -45,15 +63,131 @@ def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dx * dx + dy * dy + dz * dz
 
 
-class RadiusIndex:
-    """k-d tree supporting exact fixed-radius queries.
+def _squared_gaps(a: np.ndarray, i: np.ndarray, b: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Squared distances from points ``a[:, i]`` to ``b[:, j]``, summed as ``dx*dx + dy*dy + dz*dz``.
 
-    The tree splits at sliding midpoints (``balanced_tree=False``) and keeps
-    loose node boxes (``compact_nodes=False``): both build and query faster on
-    scan-like clouds than median splits, and only the order of enumerated
-    pairs depends on them, never the pair set or any query result. It is
-    built by the first query, so an index whose points are only read (say,
-    a class enumerated slab by slab) costs no tree until it is queried.
+    ``a`` and ``b`` hold x, y and z as rows. In place, which is about twice
+    as fast as fresh arrays at a chunk's size.
+    """
+    sq = None
+    for u, v in zip(a, b):
+        d = u[i]
+        d -= v[j]
+        d *= d
+        if sq is None:
+            sq = d
+        else:
+            sq += d
+    return sq
+
+
+def _cells(points: np.ndarray, radius: float):
+    """Per point, the (x, y) column and z coordinate of its cell; and the x, y and z extents.
+
+    Cells are cubes of side ``radius * (1 + CELL_MARGIN)`` plus ``CELL_ULPS``
+    ulps of the largest extent, compressed along each axis as the module
+    docstring says. Coordinates start at 1, leaving a spare cell at each end
+    of each axis, so that no neighbouring column or cell wraps; a column is
+    ``x * y_extent + y``.
+    """
+    n = points.shape[0]
+    # per coordinate, which is faster than reducing the rows of an (N, 3) array
+    coords = points.T
+    lo = [x.min() for x in coords]
+    span = max(x.max() - x0 for x, x0 in zip(coords, lo))
+    side = radius * (1.0 + CELL_MARGIN) + CELL_ULPS * np.spacing(span)
+    cells, extents = [], []
+    for x, x0 in zip(coords, lo):
+        # x - x0 >= 0, so truncation is the floor; the ulp margin keeps the
+        # quotient below 2**49, where every cell is an exact integer
+        cell = ((x - x0) / side).astype(np.int64)
+        if cell.max() > 2 * n:
+            occupied, cell = np.unique(cell, return_inverse=True)
+            cell = np.cumsum(np.minimum(np.diff(occupied, prepend=occupied[0]), 2))[cell]
+        cell += 1
+        cells.append(cell)
+        extents.append(int(cell.max()) + 2)
+    x, y, z = cells
+    x *= extents[1]
+    x += y
+    return x, z, extents
+
+
+class _Grid:
+    """Points sorted by cell key, for cells of side >= ``radius``.
+
+    ``order`` lists the points by key; the occupied cells' keys ascend in
+    ``keys``, and cell k holds the sorted positions ``starts[k]`` to
+    ``starts[k + 1]``. ``probes`` (say, query points) share the cells, and
+    their own cells are in ``probe_column`` and ``probe_z``.
+    """
+
+    def __init__(self, points: np.ndarray, radius: float, probes: np.ndarray | None = None):
+        n = points.shape[0]
+        both = points if probes is None else np.concatenate([points, probes])
+        column, z, (ex, ey, ez) = _cells(both, radius)
+        self.probe_column, self.probe_z = column[n:], z[n:]
+        column, z = column[:n], z[:n]
+        if ex * ey * ez < _KEY_LIMIT:
+            order = np.argsort(column * ez + z)
+        else:
+            order = np.lexsort((z, column))
+        column, z = column[order], z[order]
+        first = np.flatnonzero(np.concatenate([[True], (column[1:] != column[:-1])
+                                               | (z[1:] != z[:-1])]))
+        self.cell_column, self.cell_z = column[first], z[first]
+        new = np.concatenate([[True], self.cell_column[1:] != self.cell_column[:-1]])
+        self.columns = self.cell_column[new]
+        self.keys = (np.cumsum(new) - 1) * ez + self.cell_z
+        self.starts = np.append(first, n)
+        self.order = order
+        self.y_extent, self.z_extent = ey, ez
+
+    def runs(self, column: np.ndarray, z: np.ndarray, offsets) -> tuple[np.ndarray, np.ndarray]:
+        """Cell ranges ``[first, last)`` of the runs around cells ``(column, z)``.
+
+        Row k covers the cells ``z - 1 .. z + 1`` of column ``offsets[k]``
+        from each given one; an unoccupied column is an empty range.
+        """
+        target = np.array([dx * self.y_extent + dy for dx, dy in offsets])[:, None] + column
+        rank = np.searchsorted(self.columns, target)
+        hit = self.columns[np.minimum(rank, self.columns.size - 1)] == target
+        low = np.where(hit, rank * self.z_extent + z - 1, -3)
+        return np.searchsorted(self.keys, low), np.searchsorted(self.keys, low + 3)
+
+    def sorted_coordinates(self, points: np.ndarray) -> np.ndarray:
+        """x, y and z of ``points`` in key order, as contiguous rows."""
+        coords = np.empty((3, self.order.size))
+        for x, out in zip(points.T, coords):
+            np.take(x, self.order, out=out)
+        return coords
+
+
+def _chunks(cost: np.ndarray):
+    """``[a, b)`` ranges of consecutive items costing about ``CANDIDATE_BUDGET`` each.
+
+    An item that costs more on its own gets a range with at most a budget's
+    worth of others.
+    """
+    cum = np.cumsum(cost)
+    cuts = np.searchsorted(cum, np.arange(CANDIDATE_BUDGET, cum[-1], CANDIDATE_BUDGET),
+                           side="right")
+    bounds = np.unique(np.concatenate([[0], cuts, [cost.size]]))
+    return zip(bounds[:-1].tolist(), bounds[1:].tolist())
+
+
+def _expand(owner: np.ndarray, first: np.ndarray, count: np.ndarray):
+    """Each ``owner`` repeated ``count`` times, beside ``first .. first + count - 1``."""
+    offset = np.cumsum(count) - count
+    return np.repeat(owner, count), np.arange(offset[-1] + count[-1]) + np.repeat(first - offset, count)
+
+
+class RadiusIndex:
+    """Exact fixed-radius queries over a set of points, answered on a cell grid.
+
+    Each query sorts the points into the cells of its own radius (see the
+    module docstring); the order of enumerated pairs depends on that sort,
+    never the pair set or any query result.
     """
 
     def __init__(self, positions: np.ndarray):
@@ -66,13 +200,6 @@ class RadiusIndex:
             raise ValueError("positions must be finite")
         self.positions = positions
 
-    @functools.cached_property
-    def _tree(self):
-        # imported here, so that commands which build no index never load scipy
-        from scipy.spatial import cKDTree
-
-        return cKDTree(self.positions, balanced_tree=False, compact_nodes=False)
-
     def __len__(self) -> int:
         return self.positions.shape[0]
 
@@ -82,18 +209,48 @@ class RadiusIndex:
             raise ValueError(f"point index {i} out of range for index of size {len(self)}")
         if not r > 0:
             raise ValueError(f"radius must be positive, got {r}")
-        found = self._tree.query_ball_point(self.positions[i], r)
-        out = np.asarray([j for j in found if j != i], dtype=np.int64)
-        out.sort()
-        return out
+        found = np.flatnonzero(_squared_distances(self.positions, self.positions[i]) <= r * r)
+        return found[found != i]
 
     def pairs_within(self, r: float) -> np.ndarray:
-        """All index pairs (i, j), i < j, with d(P_i, P_j) <= r; shape (M, 2)."""
+        """All index pairs (i, j), i < j, with d(P_i, P_j) <= r; shape (M, 2).
+
+        Each point is tested against the later points of its own cell and
+        column, up to the cell above, and the 4 columns after its own: the
+        forward half of its block, which holds each pair of the block once.
+        """
         if not r > 0:
             raise ValueError(f"radius must be positive, got {r}")
-        if len(self) == 0:
+        n = len(self)
+        if n < 2:
             return np.empty((0, 2), dtype=np.int64)
-        return self._tree.query_pairs(r, output_type="ndarray").astype(np.int64, copy=False)
+        grid = _Grid(self.positions, r)
+        starts = grid.starts
+        first, last = grid.runs(grid.cell_column, grid.cell_z, _FORWARD)
+        first, last = starts[first], starts[last]
+        # the cell's own column runs to the end of the cell above it, if any
+        own_end = starts[np.searchsorted(grid.keys, grid.keys + 2)]
+        cell = np.repeat(np.arange(grid.keys.size), np.diff(starts))
+        point = np.arange(n)
+        cost = own_end[cell] - point - 1 + (last - first).sum(axis=0)[cell]
+        if not cost.any():
+            return np.empty((0, 2), dtype=np.int64)
+        coords = grid.sorted_coordinates(self.positions)
+        rr = r * r
+        # original ids, narrowed where they fit: each chunk's pairs are stored so
+        order = grid.order.astype(np.int32 if n <= np.iinfo(np.int32).max else np.int64)
+        found = []
+        for a, b in _chunks(cost):
+            p, k = point[a:b], cell[a:b]
+            lo = np.vstack([p + 1, first[:, k]]).ravel()
+            i, j = _expand(np.tile(p, 5), lo, np.vstack([own_end[k], last[:, k]]).ravel() - lo)
+            near = np.flatnonzero(_squared_gaps(coords, i, coords, j) <= rr)
+            i, j = order[i[near]], order[j[near]]
+            pairs = np.empty((near.size, 2), dtype=order.dtype)
+            np.minimum(i, j, out=pairs[:, 0])
+            np.maximum(i, j, out=pairs[:, 1])
+            found.append(pairs)
+        return np.concatenate(found, dtype=np.int64)
 
     def nearest_within(
         self, points: np.ndarray, cap: float, workers: int = 1
@@ -103,86 +260,76 @@ class RadiusIndex:
         Returns ``(rows, nearest)``: query row ``rows[k]`` has indexed point
         ``nearest[k]`` at its minimal squared distance, which is <= cap**2.
         Equidistant nearest points are all listed, so ties are left to the
-        caller and do not depend on tree internals or worker count. Rows with
-        nothing within cap are absent; output is sorted by row, then point.
+        caller. Rows with nothing within cap are absent; output is sorted by
+        row, then point. ``workers`` is accepted for callers that pass a
+        thread count; it has no effect.
+
+        Rows are answered in tiers (``NEAREST_TIERS``): a row whose nearest
+        point in its block lies within the tier's radius is final, since
+        the block holds every point within that radius; the others are
+        queried again at the next radius, the last being ``cap``.
         """
         if not cap > 0:
             raise ValueError(f"cap must be positive, got {cap}")
         points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-        # the tree only shortlists: query a hair wider than cap and than each
-        # nearest tree distance, then decide minima and the cap exactly here
-        dist, _ = self._tree.query(points, k=1, distance_upper_bound=cap * (1.0 + 1e-9),
-                                   workers=workers)
-        hit = np.nonzero(np.isfinite(dist))[0]
-        found = self._tree.query_ball_point(points[hit], dist[hit] * (1.0 + 1e-9),
-                                            workers=workers, return_sorted=True)
-        # every ball holds at least the point the first query found
-        counts = np.fromiter(map(len, found), dtype=np.int64, count=hit.size)
-        rows = np.repeat(hit, counts)
-        cands = np.fromiter((j for js in found for j in js), dtype=np.int64, count=rows.size)
-        sq = _squared_distances(self.positions[cands], points[rows])
-        best = np.repeat(np.minimum.reduceat(sq, np.cumsum(counts) - counts), counts)
-        keep = (sq == best) & (best <= cap * cap)
-        return rows[keep], cands[keep]
+        rows, nearest = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+        todo = np.arange(points.shape[0]) if len(self) else np.empty(0, dtype=np.int64)
+        for fraction in NEAREST_TIERS:
+            if todo.size == 0:
+                break
+            radius = cap * fraction
+            grid = _Grid(self.positions, radius, points[todo])
+            first, last = grid.runs(grid.probe_column, grid.probe_z, _BLOCK)
+            first, last = grid.starts[first].T, grid.starts[last].T
+            count = last - first
+            cost = count.sum(axis=1)
+            coords, queries = grid.sorted_coordinates(self.positions), points.T[:, todo]
+            left = [np.flatnonzero(cost == 0)]
+            for a, b in _chunks(cost):
+                q = np.flatnonzero(cost[a:b]) + a
+                if q.size == 0:
+                    continue
+                row, j = _expand(np.repeat(q, 9), first[q].ravel(), count[q].ravel())
+                sq = _squared_gaps(coords, j, queries, row)
+                best = np.minimum.reduceat(sq, np.cumsum(cost[q]) - cost[q])
+                done = best <= radius * radius
+                left.append(q[~done])
+                keep = sq == np.repeat(np.where(done, best, -1.0), cost[q])
+                rows.append(todo[row[keep]])
+                nearest.append(grid.order[j[keep]])
+            todo = todo[np.concatenate(left)]
+        rows, nearest = np.concatenate(rows), np.concatenate(nearest)
+        by_row = np.lexsort((nearest, rows))
+        return rows[by_row], nearest[by_row]
 
 
 def block_reduce(positions: np.ndarray, radius: float, values: np.ndarray, ufunc) -> np.ndarray:
     """Per point, ``ufunc`` reduced over the ``values`` of every point in its block.
 
-    A block is the 3x3x3 cells around the point's own; cells are cubes of side
-    ``radius * (1 + CELL_MARGIN)`` plus ``CELL_ULPS`` ulps of the extent, so any
-    point within ``radius`` by the closed-ball rule of this module lies in the
-    block (and, blocks being symmetric, each lies in the other's). ``values``
-    has one row per point; ``ufunc`` is an idempotent binary ufunc, such as
-    ``np.bitwise_or`` or ``np.minimum``. If the cell keys could overflow int64,
-    every point's block is the whole cloud.
+    A block is the 3x3x3 cells around the point's own (see the module
+    docstring), so any point within ``radius`` by the closed-ball rule of
+    this module lies in the block (and, blocks being symmetric, each lies in
+    the other's). ``values`` has one row per point; ``ufunc`` is an
+    idempotent binary ufunc, such as ``np.bitwise_or`` or ``np.minimum``.
     """
     positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
     values = np.asarray(values)
     if positions.shape[0] == 0:
         return values.copy()
-    # per coordinate, which is faster than reducing the rows of an (N, 3) array
-    coords = positions.T
-    lo = np.array([x.min() for x in coords])
-    span = np.array([x.max() for x in coords]) - lo
-    side = radius * (1.0 + CELL_MARGIN) + CELL_ULPS * np.spacing(span.max())
-    # a spare cell at each end of each axis, so that no offset wraps a row
-    dims = np.floor(span / side) + 3
-    if np.prod(dims) >= _KEY_LIMIT:
-        return np.broadcast_to(ufunc.reduce(values, axis=0), values.shape).copy()
-    strides = np.cumprod(dims[::-1].astype(np.int64))[::-1]
-    key = np.zeros(positions.shape[0], dtype=np.int64)
-    for x, x0, stride in zip(coords, lo, (*strides[1:], 1)):
-        # x - x0 >= 0, so truncation is the floor
-        cell = ((x - x0) / side).astype(np.int64)
-        cell += 1
-        cell *= stride
-        key += cell
-    del cell
-    order = np.argsort(key)
-    key = key[order]
-    starts = np.r_[True, key[1:] != key[:-1]]
-    first = np.flatnonzero(starts)
-    cells = key[first]
-    del key
-    cell_of = np.empty(order.size, dtype=np.int64)
-    cell_of[order] = np.cumsum(starts) - 1
-    del starts
-    own = ufunc.reduceat(values[order], first, axis=0)
-    del order
-    # a block is 9 runs of 3 consecutive keys; cells are unique and sorted,
-    # so each run's occupied cells are among the 3 from where it would start.
-    # A miss reads the cell itself, which an idempotent ufunc ignores
-    sx, sy = strides[1:]
-    low = np.array([[dx + dy - 1] for dx in (-sx, 0, sx) for dy in (-sy, 0, sy)]) + cells
-    start = np.searchsorted(cells, low)
-    itself = np.arange(cells.size)
+    grid = _Grid(positions, radius)
+    own = ufunc.reduceat(values[grid.order], grid.starts[:-1], axis=0)
+    # cells are unique and sorted, so each run's occupied cells are the first
+    # 3 from where it starts. A miss reads the cell itself, which an
+    # idempotent ufunc ignores
+    first, last = grid.runs(grid.cell_column, grid.cell_z, _BLOCK)
+    itself = np.arange(own.shape[0])
     block = own
     for step in range(3):
-        at = np.minimum(start + step, cells.size - 1)
-        found = cells[at]
-        at = np.where((found >= low) & (found <= low + 2), at, itself)
+        at = first + step
+        at = np.where(at < last, at, itself)
         block = ufunc(block, ufunc.reduce(own[at], axis=0))
+    cell_of = np.empty(positions.shape[0], dtype=np.int64)
+    cell_of[grid.order] = np.repeat(itself, np.diff(grid.starts))
     return block[cell_of]
 
 

@@ -98,7 +98,7 @@ def sweep_mu(
     mus = _check_mus(mus)
     gt = _gt_labeling(cloud)
     params = SegmentationParams(epsilon=epsilon, mu=mus[0], boundary_radius=boundary_radius)
-    unfiltered, _ = _segment_before_mu(cloud, params, workers)
+    unfiltered, _ = _segment_before_mu(cloud, params)
     rows = []
     for mu in mus:
         assignment, _, _ = _mu_filter(unfiltered, mu)

@@ -18,6 +18,13 @@ def distance_matrix_sq(positions: np.ndarray) -> np.ndarray:
     return dx * dx + dy * dy + dz * dz
 
 
+def brute_cell_neighbours(positions: np.ndarray, side: float) -> np.ndarray:
+    """Per pair of points: do their cubic cells of ``side``, counted from the
+    cloud's minimum on each axis, lie at most one cell apart on every axis?"""
+    cells = np.floor((positions - positions.min(axis=0)) / side)
+    return (np.abs(cells[:, None, :] - cells[None, :, :]) <= 1).all(axis=2)
+
+
 def brute_radius_neighbors(positions: np.ndarray, i: int, r: float) -> np.ndarray:
     d2 = np.sum((positions - positions[i]) ** 2, axis=1)
     hits = np.nonzero(d2 <= r * r)[0]

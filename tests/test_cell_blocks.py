@@ -5,9 +5,10 @@ The flag and link steps skip every point whose block (``block_reduce``: the
 nothing can change there. These clouds put neighbours where such a rule is
 most likely to lose one: ties at exactly the radius far from the origin,
 where ``x - min`` rounds; points on multiples of epsilon and of the core
-radius; an outlier that overflows the int64 cell key; and same-class chains
-that link at epsilon but not within the core radius. The same clouds, cut
-into slabs of a few points (``slabs``), check the slab-by-slab core pairs.
+radius; an outlier that would overflow a plain int64 cell key; and
+same-class chains that link at epsilon but not within the core radius. The
+same clouds, cut into slabs of a few points (``slabs``), check the
+slab-by-slab core pairs.
 """
 
 from __future__ import annotations
@@ -29,7 +30,13 @@ from cloiseg import (
 from cloiseg.segmentation import CORE_FRACTION
 from cloiseg.spatial import CELL_MARGIN, CELL_ULPS, block_reduce, slabs
 from conftest import grid_blob, make_cloud
-from oracles import brute_class_boundaries, brute_components, brute_segment, distance_matrix_sq
+from oracles import (
+    brute_cell_neighbours,
+    brute_class_boundaries,
+    brute_components,
+    brute_segment,
+    distance_matrix_sq,
+)
 
 EPS = 0.04
 CORE = CORE_FRACTION * EPS
@@ -147,13 +154,20 @@ def test_points_on_multiples_of_epsilon_and_of_the_core_radius():
     _assert_matches_oracles(pos, classes, eps=CORE)
 
 
-def test_outlier_a_billion_metres_away_takes_the_whole_cloud_block():
+def test_outlier_a_billion_metres_away_keeps_every_block():
     pos, classes = _tie_lattice()
     pos = np.vstack([pos, [[1e9, 1e9, 1e9]]])
     classes = np.append(classes, 0)
-    # the cell key would overflow: every block is the whole cloud
+    # a key of plain cell coordinates would overflow int64; the compressed
+    # key keeps each block the cells around the point's own, here found by
+    # brute force over the plain coordinates
     bits = np.left_shift(1, classes)
-    assert (block_reduce(pos, EPS, bits, np.bitwise_or) == 3).all()
+    span = (pos.max(axis=0) - pos.min(axis=0)).max()
+    near = brute_cell_neighbours(pos, EPS * (1.0 + CELL_MARGIN) + CELL_ULPS * np.spacing(span))
+    want = np.bitwise_or.reduce(np.where(near, bits[None, :], 0), axis=1)
+    got = block_reduce(pos, EPS, bits, np.bitwise_or)
+    assert got.tolist() == want.tolist()
+    assert got[-1] == 1 and (got[:-1] & 2).any()
     for r_b in (None, CORE):
         _assert_matches_oracles(pos, classes, r_b=r_b)
 

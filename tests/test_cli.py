@@ -358,11 +358,21 @@ def test_threads_flag_and_env_do_not_change_output(tmp_path, monkeypatch):
         assert out_env.read_bytes() == outs[0], command
 
 
-def test_importing_the_cli_loads_no_scipy():
-    # scipy.spatial loads with the first RadiusIndex; eval, stats and synth build none
+def test_importing_the_cli_loads_no_scipy(tmp_path):
+    # neighbour queries run on numpy cells: no command that queries them loads scipy
     src = str(Path(cloiseg.cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = "import sys, cloiseg.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
+    scene, out_pts = str(_synth(tmp_path, profile="gapped")), str(tmp_path / "out.pts")
+    commands = [["segment", scene, out_pts], ["boundary", scene, out_pts],
+                ["sweep", "--mode", "radius", scene, "--out", str(tmp_path / "radius.csv")]]
+    probe = ("import sys, cloiseg.cli\n"
+             f"for command in {commands!r}:\n"
+             "    assert cloiseg.cli.main([*command, '--quiet']) == 0, command\n"
+             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cloiseg.spatial
 from cloiseg import RadiusIndex
 from conftest import grid_blob
-from oracles import brute_nearest_within, brute_radius_neighbors
+from oracles import brute_cell_neighbours, brute_nearest_within, brute_radius_neighbors
 
 
 def test_empty_index():
@@ -176,3 +177,89 @@ def test_nearest_within_empty_inputs():
     assert _nearest(index, np.zeros((1, 3)), 1.0) == [(0, 0), (0, 1)]  # duplicates tie
     with pytest.raises(ValueError):
         index.nearest_within(np.zeros((1, 3)), 0.0)
+
+
+def _far_tie_lattice(r):
+    """A 4x4x4 lattice spaced exactly r, with points 1e9 m out along and across all three axes.
+
+    Plain cell coordinates of side r span 2e9 / r cells per axis, so a key
+    built from them would overflow int64.
+    """
+    lattice = grid_blob((0, 0, 0), 64, spacing=r)
+    far = np.vstack([np.eye(3), -np.eye(3), [[1, 1, 1], [-1, -1, -1], [1, -1, 1]]]) * 1e9
+    return np.vstack([lattice, far])
+
+
+def _brute_pairs(positions, r):
+    return {(i, int(j)) for i in range(positions.shape[0])
+            for j in brute_radius_neighbors(positions, i, r) if i < j}
+
+
+@pytest.mark.parametrize("r", [0.01, 0.04, 0.25])
+def test_far_tie_lattice_matches_oracles(r):
+    positions = _far_tie_lattice(r)
+    index = RadiusIndex(positions)
+    pairs = index.pairs_within(r)
+    assert len(pairs) == len(_brute_pairs(positions, r)) > 0
+    assert {tuple(p) for p in pairs.tolist()} == _brute_pairs(positions, r)
+    # half-spacing offsets from lattice points tie between 2, 4 and 8 of them
+    queries = np.vstack([positions[:64] + (r / 2, 0, 0), positions[:64] + r / 2,
+                         positions[64:] + (0, r, 0)])
+    for cap in (r / 2, r, 3 * r):
+        assert _nearest(index, queries, cap) == brute_nearest_within(positions, queries, cap)
+
+
+def test_nearest_ties_at_exactly_a_tier_radius_and_at_the_cap():
+    cap = 0.75
+    tier = cap * cloiseg.spatial.NEAREST_TIERS[0]
+    # query 0 has two nearest points at exactly the first tier's radius, and
+    # query 1 two at exactly the cap; query 2's nearest lies a hair beyond the
+    # tier, and query 3's a hair beyond the cap
+    positions = np.array([[tier, 0, 0], [-tier, 0, 0],
+                          [cap, 10, 0], [-cap, 10, 0],
+                          [np.nextafter(tier, 1), 20, 0], [-cap, 20, 0],
+                          [np.nextafter(cap, 1), 30, 0]])
+    queries = np.array([[0.0, 0, 0], [0, 10, 0], [0, 20, 0], [0, 30, 0]])
+    index = RadiusIndex(positions)
+    got = _nearest(index, queries, cap)
+    assert got == brute_nearest_within(positions, queries, cap)
+    assert got == [(0, 0), (0, 1), (1, 2), (1, 3), (2, 4)]
+
+
+def test_empty_and_one_point_inputs():
+    empty, one = RadiusIndex(np.empty((0, 3))), RadiusIndex(np.array([[0.5, 0.5, 0.5]]))
+    for index in (empty, one):
+        assert index.pairs_within(0.1).shape == (0, 2)
+        assert index.pairs_within(0.1).dtype == np.int64
+        for queries in (np.empty((0, 3)), np.array([[0.5, 0.5, 0.6]])):
+            rows, nearest = index.nearest_within(queries, 0.1)
+            assert rows.dtype == nearest.dtype == np.int64
+            want = brute_nearest_within(index.positions, queries, 0.1)
+            assert list(zip(rows.tolist(), nearest.tolist())) == want
+    assert _nearest(one, np.array([[0.5, 0.5, 0.6]]), 0.1) == [(0, 0)]
+
+
+def test_far_points_evaluate_no_candidates(monkeypatch):
+    # pairs are tested only between points of neighbouring cells: every such
+    # pair once, found by brute force over the plain cell coordinates, and
+    # none with a point 1e9 m out; a far query evaluates no point at all
+    r = 0.04
+    positions = _far_tie_lattice(r)
+    candidates = []
+    expand = cloiseg.spatial._expand
+
+    def counting(owner, first, count):
+        candidates.append(int(count.sum()))
+        return expand(owner, first, count)
+
+    monkeypatch.setattr(cloiseg.spatial, "_expand", counting)
+    index = RadiusIndex(positions)
+    index.pairs_within(r)
+    span = (positions.max(axis=0) - positions.min(axis=0)).max()
+    side = r * (1.0 + cloiseg.spatial.CELL_MARGIN) + cloiseg.spatial.CELL_ULPS * np.spacing(span)
+    near = brute_cell_neighbours(positions, side)
+    assert near[64:].sum(axis=1).tolist() == [1] * 9
+    assert sum(candidates) == np.triu(near, k=1).sum()
+    candidates.clear()
+    assert _nearest(index, positions[64:] + 0.5, 3 * r) == []
+    assert sum(candidates) == 0

@@ -491,3 +491,25 @@ def test_radius_sweep_enumerates_no_pairs_for_an_object_in_one_piece(monkeypatch
     # At 2cm only the chain's points whose block holds another chain point
     # are mixed (5 of 6), with no pair; at 3cm its 5 links; then nothing
     assert calls == [(27, 0.01, 54), (6, 0.01, 0), (5, 0.02, 0), (6, 0.03, 5)]
+
+
+def test_radius_sweep_repeats_a_repeated_radius(monkeypatch):
+    # a grid value equal to the one before repeats its row without a pair
+    # query: the calls are those of the grid without the repeat
+    blob = grid_blob((0.0, 0.0, 0.0), 27, spacing=0.01)
+    chain = _chain((0.02, 0.0, 0.0), 6, 0.025)
+    cloud = make_cloud(np.vstack([blob, chain]), 2, np.repeat([0, 1], [27, 6]))
+    want, _ = sweep_radius_per_object(cloud, (0.01, 0.02, 0.03), thresholds=(0.5, 1.0))
+    calls = []
+    pairs_within = RadiusIndex.pairs_within
+
+    def recording(self, r):
+        pairs = pairs_within(self, r)
+        calls.append((len(self), r, len(pairs)))
+        return pairs
+
+    monkeypatch.setattr(RadiusIndex, "pairs_within", recording)
+    rows, _ = sweep_radius_per_object(cloud, (0.01, 0.02, 0.02, 0.03), thresholds=(0.5, 1.0))
+    assert calls == [(27, 0.01, 54), (6, 0.01, 0), (5, 0.02, 0), (6, 0.03, 5)]
+    assert rows_to_csv_text(rows) == rows_to_csv_text(want[:2] + want[1:])
+    _assert_radius_rows_match_oracles(cloud, (0.01, 0.02, 0.02, 0.03))
