@@ -155,12 +155,14 @@ class _Grid:
         low = np.where(hit, rank * self.z_extent + z - 1, -3)
         return np.searchsorted(self.keys, low), np.searchsorted(self.keys, low + 3)
 
-    def sorted_coordinates(self, points: np.ndarray) -> np.ndarray:
-        """x, y and z of ``points`` in key order, as contiguous rows."""
-        coords = np.empty((3, self.order.size))
-        for x, out in zip(points.T, coords):
-            np.take(x, self.order, out=out)
-        return coords
+
+
+def _coordinate_rows(points: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """x, y and z of ``points[ids]`` as three contiguous rows."""
+    rows = np.empty((3, ids.size))
+    for x, out in zip(points.T, rows):
+        np.take(x, ids, out=out)
+    return rows
 
 
 def _chunks(cost: np.ndarray):
@@ -235,7 +237,7 @@ class RadiusIndex:
         cost = own_end[cell] - point - 1 + (last - first).sum(axis=0)[cell]
         if not cost.any():
             return np.empty((0, 2), dtype=np.int64)
-        coords = grid.sorted_coordinates(self.positions)
+        coords = _coordinate_rows(self.positions, grid.order)
         rr = r * r
         # original ids, narrowed where they fit: each chunk's pairs are stored so
         order = grid.order.astype(np.int32 if n <= np.iinfo(np.int32).max else np.int64)
@@ -283,7 +285,8 @@ class RadiusIndex:
             first, last = grid.starts[first].T, grid.starts[last].T
             count = last - first
             cost = count.sum(axis=1)
-            coords, queries = grid.sorted_coordinates(self.positions), points.T[:, todo]
+            coords = _coordinate_rows(self.positions, grid.order)
+            queries = _coordinate_rows(points, todo)
             left = [np.flatnonzero(cost == 0)]
             for a, b in _chunks(cost):
                 q = np.flatnonzero(cost[a:b]) + a

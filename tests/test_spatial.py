@@ -196,7 +196,11 @@ def _brute_pairs(positions, r):
 
 
 @pytest.mark.parametrize("r", [0.01, 0.04, 0.25])
-def test_far_tie_lattice_matches_oracles(r):
+@pytest.mark.parametrize("one_key", [True, False])
+def test_far_tie_lattice_matches_oracles(r, one_key, monkeypatch):
+    if not one_key:
+        # the points are sorted by column, then z, as on a grid too large for one int64 key
+        monkeypatch.setattr(cloiseg.spatial, "_KEY_LIMIT", 0)
     positions = _far_tie_lattice(r)
     index = RadiusIndex(positions)
     pairs = index.pairs_within(r)
