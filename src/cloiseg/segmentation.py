@@ -22,8 +22,8 @@ epsilon-pairs too. Then one join step (``_join_mixed``): a point whose block
 of cells (side >= epsilon, ``block_reduce``) holds a single core label has
 all its epsilon-neighbours in its own core component, so its epsilon-pairs
 cannot join two components. Only the other, mixed, points get an index,
-and their epsilon-pairs join the core labels. The labels stay smallest members,
-so the result equals one labelling of every epsilon-pair.
+and their epsilon-pairs join the core labels. The labels stay smallest
+members, so the result equals one labelling of every epsilon-pair.
 
 The per-object radius study (``_fragmentation_by_radius``) labels every
 pair within its first, smallest, radius. The components at a smaller radius

@@ -64,7 +64,7 @@ def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _squared_gaps(a: np.ndarray, i: np.ndarray, b: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Squared distances from points ``a[:, i]`` to ``b[:, j]``, summed as ``dx*dx + dy*dy + dz*dz``.
+    """Squared distances from points ``a[:, i]`` to ``b[:, j]``, as ``dx*dx + dy*dy + dz*dz``.
 
     ``a`` and ``b`` hold x, y and z as rows. In place, which is about twice
     as fast as fresh arrays at a chunk's size.
@@ -181,7 +181,8 @@ def _chunks(cost: np.ndarray):
 def _expand(owner: np.ndarray, first: np.ndarray, count: np.ndarray):
     """Each ``owner`` repeated ``count`` times, beside ``first .. first + count - 1``."""
     offset = np.cumsum(count) - count
-    return np.repeat(owner, count), np.arange(offset[-1] + count[-1]) + np.repeat(first - offset, count)
+    at = np.arange(offset[-1] + count[-1]) + np.repeat(first - offset, count)
+    return np.repeat(owner, count), at
 
 
 class RadiusIndex:
