@@ -81,36 +81,45 @@ def _squared_gaps(a: np.ndarray, i: np.ndarray, b: np.ndarray, j: np.ndarray) ->
     return sq
 
 
-def _cells(points: np.ndarray, radius: float):
-    """Per point, the (x, y) column and z coordinate of its cell; and the x, y and z extents.
+def _cells(radius: float, *clouds: np.ndarray):
+    """Per cloud, the (x, y) column and z coordinate of each point's cell; and the x, y and z extents.
 
-    Cells are cubes of side ``radius * (1 + CELL_MARGIN)`` plus ``CELL_ULPS``
-    ulps of the largest extent, compressed along each axis as the module
-    docstring says. Coordinates start at 1, leaving a spare cell at each end
-    of each axis, so that no neighbouring column or cell wraps; a column is
-    ``x * y_extent + y``.
+    The clouds share one grid: cubes of side ``radius * (1 + CELL_MARGIN)``
+    plus ``CELL_ULPS`` ulps of their largest extent, compressed along each
+    axis as the module docstring says. Coordinates start at 1, leaving a
+    spare cell at each end of each axis, so that no neighbouring column or
+    cell wraps; a column is ``x * y_extent + y``.
     """
-    n = points.shape[0]
+    n = sum(c.shape[0] for c in clouds)
     # per coordinate, which is faster than reducing the rows of an (N, 3) array
-    coords = points.T
-    lo = [x.min() for x in coords]
-    span = max(x.max() - x0 for x, x0 in zip(coords, lo))
+    axes = list(zip(*(c.T for c in clouds)))
+    lo = [min(x.min() for x in axis if x.size) for axis in axes]
+    span = max(max(x.max() for x in axis if x.size) - x0 for axis, x0 in zip(axes, lo))
     side = radius * (1.0 + CELL_MARGIN) + CELL_ULPS * np.spacing(span)
     cells, extents = [], []
-    for x, x0 in zip(coords, lo):
-        # x - x0 >= 0, so truncation is the floor; the ulp margin keeps the
-        # quotient below 2**49, where every cell is an exact integer
-        cell = ((x - x0) / side).astype(np.int64)
-        if cell.max() > 2 * n:
-            occupied, cell = np.unique(cell, return_inverse=True)
-            cell = np.cumsum(np.minimum(np.diff(occupied, prepend=occupied[0]), 2))[cell]
-        cell += 1
-        cells.append(cell)
-        extents.append(int(cell.max()) + 2)
-    x, y, z = cells
-    x *= extents[1]
-    x += y
-    return x, z, extents
+    for axis, x0 in zip(axes, lo):
+        parts = []
+        for x in axis:
+            # x - x0 >= 0, so truncation is the floor; the ulp margin keeps
+            # the quotient below 2**49, where every cell is an exact integer
+            q = x - x0
+            q /= side
+            parts.append(q.astype(np.int64))
+            del q
+        top = max(int(c.max()) for c in parts if c.size)
+        if top > 2 * n:
+            occupied = np.unique(np.concatenate(parts))
+            steps = np.cumsum(np.minimum(np.diff(occupied, prepend=occupied[0]), 2))
+            parts = [steps[np.searchsorted(occupied, c)] for c in parts]
+            top = int(steps[-1])
+        for c in parts:
+            c += 1
+        cells.append(parts)
+        extents.append(top + 3)
+    for x, y in zip(cells[0], cells[1]):
+        x *= extents[1]
+        x += y
+    return cells[0], cells[2], extents
 
 
 class _Grid:
@@ -124,10 +133,12 @@ class _Grid:
 
     def __init__(self, points: np.ndarray, radius: float, probes: np.ndarray | None = None):
         n = points.shape[0]
-        both = points if probes is None else np.concatenate([points, probes])
-        column, z, (ex, ey, ez) = _cells(both, radius)
-        self.probe_column, self.probe_z = column[n:], z[n:]
-        column, z = column[:n], z[:n]
+        clouds = (points,) if probes is None else (points, probes)
+        columns, zs, (ex, ey, ez) = _cells(radius, *clouds)
+        column, z = columns[0], zs[0]
+        if probes is not None:
+            self.probe_column, self.probe_z = columns[1], zs[1]
+        del columns, zs
         if ex * ey * ez < _KEY_LIMIT:
             order = np.argsort(column * ez + z)
         else:
@@ -136,6 +147,7 @@ class _Grid:
         first = np.flatnonzero(np.concatenate([[True], (column[1:] != column[:-1])
                                                | (z[1:] != z[:-1])]))
         self.cell_column, self.cell_z = column[first], z[first]
+        del column, z
         new = np.concatenate([[True], self.cell_column[1:] != self.cell_column[:-1]])
         self.columns = self.cell_column[new]
         self.keys = (np.cumsum(new) - 1) * ez + self.cell_z
