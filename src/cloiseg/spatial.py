@@ -82,7 +82,7 @@ def _squared_gaps(a: np.ndarray, i: np.ndarray, b: np.ndarray, j: np.ndarray) ->
 
 
 def _cells(radius: float, *clouds: np.ndarray):
-    """Per cloud, the (x, y) column and z coordinate of each point's cell; and the x, y and z extents.
+    """Per cloud, each point's cell as its (x, y) column and z; and the x, y and z extents.
 
     The clouds share one grid: cubes of side ``radius * (1 + CELL_MARGIN)``
     plus ``CELL_ULPS`` ulps of their largest extent, compressed along each
@@ -166,7 +166,6 @@ class _Grid:
         hit = self.columns[np.minimum(rank, self.columns.size - 1)] == target
         low = np.where(hit, rank * self.z_extent + z - 1, -3)
         return np.searchsorted(self.keys, low), np.searchsorted(self.keys, low + 3)
-
 
 
 def _coordinate_rows(points: np.ndarray, ids: np.ndarray) -> np.ndarray:
