@@ -16,29 +16,25 @@ nearest instance. A numpy union-find labels each interior point with the
 smallest member of its component, a boundary point takes the label of the
 instance it joins, and ranking those labels once gives the canonical order.
 
-Links are labelled in two rounds (``_smallest_members``). Core components
-come first, from the pairs within ``CORE_FRACTION`` of epsilon, which are
-epsilon-pairs too. Then one join step (``_join_mixed``): a point whose block
-of cells (side >= epsilon, ``block_reduce``) holds a single core label has
-all its epsilon-neighbours in its own core component, so its epsilon-pairs
-cannot join two components. Only the other, mixed, points get an index,
-and their epsilon-pairs join the core labels. The labels stay smallest
-members, so the result equals one labelling of every epsilon-pair.
+Links are labelled in two rounds (``_epsilon_labels``). Clique cells come
+first: cells of side below epsilon / sqrt(3), in which every two points
+are epsilon-pairs, each labelled with its smallest point and joined to its
+face neighbours after an exact test (``clique_cells``). Then one join step
+(``_join_mixed``): a point whose block of cells (side >= epsilon,
+``block_reduce``) holds a single label has all its epsilon-neighbours in
+its own component, so its epsilon-pairs cannot join two components. Only
+the other, mixed, points get an index, and their epsilon-pairs join the
+labels. The labels stay smallest members, so the result equals one
+labelling of every epsilon-pair.
 
-The per-object radius study (``_fragmentation_by_radius``) labels every
-pair within its first, smallest, radius. The components at a smaller radius
+The per-object radius study (``_fragmentation_by_radius``) labels its
+first, smallest, radius the same way. The components at a smaller radius
 are parts of those at a larger one (single linkage), so each later radius
 starts from the labels of the radius before and runs only the join step.
-
-A class of more than ``spatial.SLAB_POINTS`` interior points enumerates its
-core pairs slab by slab (``slabs``) and reduces each slab's pairs to a
-spanning forest before the next, so that it holds one slab's pairs at a
-time; its interior index then serves the reattachment alone.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -46,17 +42,11 @@ import numpy as np
 
 from .boundary import _class_boundary_flags
 from .model import NOISE, LabeledPointCloud, _group_instances
-from .spatial import RadiusIndex, block_reduce, slabs
+from .spatial import RadiusIndex, block_reduce, clique_cells
 
 #: Boundary points farther than this multiple of epsilon from every
 #: same-class instance become NOISE instead of joining one.
 REATTACH_CAP_FACTOR = 3.0
-
-#: Core components are labelled within this fraction of epsilon. On the
-#: refinery-like profile at epsilon 4cm, 0.6 leaves 4.9k mixed points with 69k
-#: epsilon-pairs; 0.5 leaves 11.7k with 806k, and 0.7 enumerates 1.32M core
-#: pairs instead of 0.96M.
-CORE_FRACTION = 0.6
 
 
 @dataclass(frozen=True)
@@ -163,81 +153,44 @@ def connected_components(
         index = RadiusIndex(index.positions[vertices])
     if vertices.size == 0:
         return []
+    pairs = index.pairs_within(epsilon)
+    if predicate is not None:
+        ends = vertices[pairs]
+        pairs = pairs[np.asarray(predicate(ends[:, 0], ends[:, 1]), dtype=bool)]
     # smallest-member labels: a stable sort of the sorted vertices by label
     # yields the components in canonical order, each with sorted members
-    labels = _smallest_members(index, vertices, epsilon, predicate)
+    labels = _component_labels(vertices.size, pairs)
     order = np.argsort(labels, kind="stable")
     _, starts = np.unique(labels[order], return_index=True)
     return np.split(vertices[order], starts[1:])
 
 
-def _smallest_members(
-    index: RadiusIndex, members: np.ndarray, epsilon: float, predicate=None
-) -> np.ndarray:
-    """Per point of ``index``, the smallest of ``members`` in its epsilon-component.
+def _epsilon_labels(positions: np.ndarray, epsilon: float) -> np.ndarray:
+    """Per point, the smallest point of its epsilon-component.
 
-    ``index`` holds the points with ascending global ids ``members``, in that
-    order; ``predicate(i, j)`` filters the pairs by global id. The labelling
-    runs on local ids, and mapping a local smallest member back through the
-    ascending ids gives the global smallest member. Core components come
-    first, then the epsilon-pairs of the mixed points join them (see the
-    module docstring).
+    Clique cells and their face links (``clique_cells``) give components
+    that refine the epsilon-components; the join step makes them exact.
     """
-    def links(ids, pairs):
-        """Those of ``pairs``, local ids into ``ids``, that the predicate keeps."""
-        if predicate is None:
-            return pairs
-        ends = members[ids]
-        return pairs[np.asarray(predicate(ends[pairs[:, 0]], ends[pairs[:, 1]]), dtype=bool)]
-
-    labels = _core_labels(index, CORE_FRACTION * epsilon, links)
-    return members[_join_mixed(index.positions, labels, epsilon, links)]
+    labels, edges = clique_cells(positions, epsilon)
+    labels = _component_labels(labels.size, edges)[labels]
+    return _join_mixed(positions, labels, epsilon)
 
 
-def _join_mixed(positions: np.ndarray, labels: np.ndarray, radius: float, links=None):
+def _join_mixed(positions: np.ndarray, labels: np.ndarray, radius: float) -> np.ndarray:
     """Smallest-member ``labels`` after joining every two components with a pair within ``radius``.
 
-    ``labels`` are smallest members, ids into ``positions``; ``links(ids,
-    pairs)``, if given, filters pairs of local ids into ``ids``. A point
-    whose block (``block_reduce``, side >= radius) holds its own label only
-    has every neighbour in its own component, so only the mixed points,
+    ``labels`` are smallest members, ids into ``positions``, of components
+    that lie each within one component of the pairs within ``radius``. A
+    point whose block (``block_reduce``, side >= radius) holds its own label
+    only has every neighbour in its own component, so only the mixed points,
     whose block holds two labels, enumerate pairs.
     """
     bounds = block_reduce(positions, radius, np.stack([labels, -labels], axis=1), np.minimum)
     mixed = np.flatnonzero(bounds[:, 0] != -bounds[:, 1])
     if mixed.size:
         pairs = RadiusIndex(positions[mixed]).pairs_within(radius)
-        if links is not None:
-            pairs = links(mixed, pairs)
         labels = _component_labels(labels.size, labels[mixed[pairs]])[labels]
     return labels
-
-
-def _core_labels(index: RadiusIndex, radius: float, links) -> np.ndarray:
-    """Per point of ``index``, the smallest point of its component of the pairs within ``radius``.
-
-    A large cloud is enumerated slab by slab (``slabs``), so that no more
-    than one slab's pairs are held at once: each slab's pairs are reduced to
-    a spanning forest of its components, which joins the same points, and
-    the forests of all slabs are labelled together.
-    """
-    n = len(index)
-    cuts = slabs(index.positions, radius)
-    ids = next(cuts)
-    if ids.size == n:
-        return _component_labels(n, links(ids, index.pairs_within(radius)))
-    forest = []
-    for ids in itertools.chain([ids], cuts):
-        root = _component_labels(ids.size, links(ids, RadiusIndex(index.positions[ids])
-                                                 .pairs_within(radius)))
-        child = np.flatnonzero(root != np.arange(ids.size))
-        forest.append(ids.astype(_index_dtype(n))[np.stack([root[child], child], axis=1)])
-    forest = np.concatenate(forest)
-    return _component_labels(n, forest)
-
-
-def _index_dtype(n: int):
-    return np.int32 if n <= np.iinfo(np.int32).max else np.int64
 
 
 def _component_labels(n: int, pairs: np.ndarray) -> np.ndarray:
@@ -250,7 +203,7 @@ def _component_labels(n: int, pairs: np.ndarray) -> np.ndarray:
     tree. A parent is never larger than its vertex, so each root is the
     smallest member of its tree and the labels do not depend on edge order.
     """
-    parent = np.arange(n, dtype=_index_dtype(n))
+    parent = np.arange(n, dtype=np.int32 if n <= np.iinfo(np.int32).max else np.int64)
     lo = pairs[:, 0].astype(parent.dtype, copy=False)
     hi = pairs[:, 1].astype(parent.dtype, copy=False)
     del pairs  # a caller that passed the only reference frees a wider edge list here
@@ -330,7 +283,7 @@ def _label_class(
     """
     interior, boundary = members[~flags[members]], members[flags[members]]
     index = RadiusIndex(positions[interior])
-    labels[interior] = _smallest_members(index, interior, epsilon)
+    labels[interior] = interior[_epsilon_labels(index.positions, epsilon)]
     rows, nearest = index.nearest_within(positions[boundary], REATTACH_CAP_FACTOR * epsilon)
     hit_rows, starts = np.unique(rows, return_index=True)
     labels[boundary[hit_rows]] = np.minimum.reduceat(labels[interior[nearest]], starts)
@@ -368,9 +321,9 @@ def _fragmentation_by_radius(
 ) -> list[SingleObjectResult]:
     """``segment_single_object`` at every radius of a valid ascending grid.
 
-    The first radius labels all its pairs (``_core_labels``, slab by slab
-    for a large object); each later radius starts from the labels of the
-    radius before and runs only the join step (see the module docstring).
+    The first radius is labelled as a class's interior is (``_epsilon_labels``);
+    each later radius starts from the labels of the radius before and runs
+    only the join step (see the module docstring).
     An object in one piece has no mixed point, so every later radius gives
     the same result, and a radius equal to the one before repeats its result.
     """
@@ -380,10 +333,7 @@ def _fragmentation_by_radius(
         if k and eps == epsilons[k - 1]:
             results.append(results[-1])
             continue
-        if k == 0:
-            labels = _core_labels(RadiusIndex(positions), eps, lambda ids, pairs: pairs)
-        else:
-            labels = _join_mixed(positions, labels, eps)
+        labels = _join_mixed(positions, labels, eps) if k else _epsilon_labels(positions, eps)
         # labels stay smallest members, so the components are the nonzero counts
         sizes = np.bincount(labels)
         results.append(SingleObjectResult(int(np.count_nonzero(sizes)), float(sizes.max() / n)))

@@ -27,9 +27,10 @@ axis spans fewer than 2N + 3 cells. A cell's key is the rank of its (x, y)
 column times the z extent plus its z cell, and a block is 9 runs of 3
 consecutive keys, one run per column.
 
-``slabs`` cuts a large cloud along its widest axis into overlapping slabs
-that hold every pair within a radius, with the same margin, so that pairs
-can be enumerated one slab at a time.
+``clique_cells`` sorts points into clique cells instead (Gan & Tao, SIGMOD
+2015): cubes narrower than the radius over sqrt(3) by the same margin, so
+that every two points of one cell lie within the radius. Compression keeps
+neighbouring clique cells neighbours too.
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ CELL_ULPS = 16
 # points are sorted on one int64 key (column, z) when the grid has fewer
 # cells than this, and by column, then z, otherwise
 _KEY_LIMIT = 2**63
-#: ``slabs`` cuts clouds larger than this many points
-SLAB_POINTS = 1 << 17
 #: pair and nearest queries test their candidate points in chunks of about this many
 CANDIDATE_BUDGET = 1 << 17
 #: ``nearest_within`` queries within these fractions of its cap in turn; a
@@ -55,6 +54,8 @@ NEAREST_TIERS = (1 / 3, 1.0)
 # block's own column in key order
 _BLOCK = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
 _FORWARD = ((0, 1), (1, -1), (1, 0), (1, 1))
+# the 3 forward cells (dx, dy, dz) that share a face with a cell
+_FACES = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
 
 
 def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -81,13 +82,24 @@ def _squared_gaps(a: np.ndarray, i: np.ndarray, b: np.ndarray, j: np.ndarray) ->
     return sq
 
 
-def _cells(radius: float, *clouds: np.ndarray):
+def _side(radius: float, span: float, clique: bool = False) -> float:
+    """The side of a cell for ``radius`` in a cloud of largest extent ``span``.
+
+    Wide cells are at least ``radius`` across, clique cells at most
+    ``radius / sqrt(3)``: the margin widens the one and narrows the other.
+    """
+    ulps = CELL_ULPS * np.spacing(span)
+    if clique:
+        return radius / np.sqrt(3.0) * (1.0 - CELL_MARGIN) - ulps
+    return radius * (1.0 + CELL_MARGIN) + ulps
+
+
+def _cells(radius: float, *clouds: np.ndarray, clique: bool = False):
     """Per cloud, each point's cell as its (x, y) column and z; and the x, y and z extents.
 
-    The clouds share one grid: cubes of side ``radius * (1 + CELL_MARGIN)``
-    plus ``CELL_ULPS`` ulps of their largest extent, compressed along each
-    axis as the module docstring says. Coordinates start at 1, leaving a
-    spare cell at each end of each axis, so that no neighbouring column or
+    The clouds share one grid: cubes of side ``_side``, compressed along
+    each axis as the module docstring says. Coordinates start at 1, leaving
+    a spare cell at each end of each axis, so that no neighbouring column or
     cell wraps; a column is ``x * y_extent + y``.
     """
     n = sum(c.shape[0] for c in clouds)
@@ -95,13 +107,14 @@ def _cells(radius: float, *clouds: np.ndarray):
     axes = list(zip(*(c.T for c in clouds)))
     lo = [min(x.min() for x in axis if x.size) for axis in axes]
     span = max(max(x.max() for x in axis if x.size) - x0 for axis, x0 in zip(axes, lo))
-    side = radius * (1.0 + CELL_MARGIN) + CELL_ULPS * np.spacing(span)
+    side = _side(radius, span, clique)
     cells, extents = [], []
     for axis, x0 in zip(axes, lo):
         parts = []
         for x in axis:
-            # x - x0 >= 0, so truncation is the floor; the ulp margin keeps
-            # the quotient below 2**49, where every cell is an exact integer
+            # x - x0 >= 0, so truncation is the floor; a side of at least
+            # CELL_ULPS ulps keeps the quotient below 2**49, where every cell
+            # is an exact integer
             q = x - x0
             q /= side
             parts.append(q.astype(np.int64))
@@ -123,7 +136,7 @@ def _cells(radius: float, *clouds: np.ndarray):
 
 
 class _Grid:
-    """Points sorted by cell key, for cells of side >= ``radius``.
+    """Points sorted by cell key, for cells of side >= ``radius``, or clique cells.
 
     ``order`` lists the points by key; the occupied cells' keys ascend in
     ``keys``, and cell k holds the sorted positions ``starts[k]`` to
@@ -131,10 +144,11 @@ class _Grid:
     their own cells are in ``probe_column`` and ``probe_z``.
     """
 
-    def __init__(self, points: np.ndarray, radius: float, probes: np.ndarray | None = None):
+    def __init__(self, points: np.ndarray, radius: float, probes: np.ndarray | None = None,
+                 clique: bool = False):
         n = points.shape[0]
         clouds = (points,) if probes is None else (points, probes)
-        columns, zs, (ex, ey, ez) = _cells(radius, *clouds)
+        columns, zs, (ex, ey, ez) = _cells(radius, *clouds, clique=clique)
         column, z = columns[0], zs[0]
         if probes is not None:
             self.probe_column, self.probe_z = columns[1], zs[1]
@@ -155,17 +169,24 @@ class _Grid:
         self.order = order
         self.y_extent, self.z_extent = ey, ez
 
+    def key_at(self, column: np.ndarray, z: np.ndarray, offsets) -> np.ndarray:
+        """Keys of the cells ``z`` of column ``offsets[k]`` from each given one, in row k.
+
+        The key is -2, below every key, where that column is unoccupied.
+        """
+        target = np.array([dx * self.y_extent + dy for dx, dy in offsets])[:, None] + column
+        rank = np.searchsorted(self.columns, target)
+        hit = self.columns[np.minimum(rank, self.columns.size - 1)] == target
+        return np.where(hit, rank * self.z_extent + z, -2)
+
     def runs(self, column: np.ndarray, z: np.ndarray, offsets) -> tuple[np.ndarray, np.ndarray]:
         """Cell ranges ``[first, last)`` of the runs around cells ``(column, z)``.
 
         Row k covers the cells ``z - 1 .. z + 1`` of column ``offsets[k]``
         from each given one; an unoccupied column is an empty range.
         """
-        target = np.array([dx * self.y_extent + dy for dx, dy in offsets])[:, None] + column
-        rank = np.searchsorted(self.columns, target)
-        hit = self.columns[np.minimum(rank, self.columns.size - 1)] == target
-        low = np.where(hit, rank * self.z_extent + z - 1, -3)
-        return np.searchsorted(self.keys, low), np.searchsorted(self.keys, low + 3)
+        key = self.key_at(column, z, offsets)
+        return np.searchsorted(self.keys, key - 1), np.searchsorted(self.keys, key + 2)
 
 
 def _coordinate_rows(points: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -183,7 +204,8 @@ def _chunks(cost: np.ndarray):
     worth of others.
     """
     cum = np.cumsum(cost)
-    cuts = np.searchsorted(cum, np.arange(CANDIDATE_BUDGET, cum[-1], CANDIDATE_BUDGET),
+    total = cum[-1] if cum.size else 0
+    cuts = np.searchsorted(cum, np.arange(CANDIDATE_BUDGET, total, CANDIDATE_BUDGET),
                            side="right")
     bounds = np.unique(np.concatenate([[0], cuts, [cost.size]]))
     return zip(bounds[:-1].tolist(), bounds[1:].tolist())
@@ -266,17 +288,14 @@ class RadiusIndex:
             found.append(pairs)
         return np.concatenate(found, dtype=np.int64)
 
-    def nearest_within(
-        self, points: np.ndarray, cap: float, workers: int = 1
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def nearest_within(self, points: np.ndarray, cap: float) -> tuple[np.ndarray, np.ndarray]:
         """Every exactly nearest indexed point to each query point, up to distance cap.
 
         Returns ``(rows, nearest)``: query row ``rows[k]`` has indexed point
         ``nearest[k]`` at its minimal squared distance, which is <= cap**2.
         Equidistant nearest points are all listed, so ties are left to the
         caller. Rows with nothing within cap are absent; output is sorted by
-        row, then point. ``workers`` is accepted for callers that pass a
-        thread count; it has no effect.
+        row, then point.
 
         Rows are answered in tiers (``NEAREST_TIERS``): a row whose nearest
         point in its block lies within the tier's radius is final, since
@@ -348,30 +367,42 @@ def block_reduce(positions: np.ndarray, radius: float, values: np.ndarray, ufunc
     return block[cell_of]
 
 
-def slabs(positions: np.ndarray, radius: float):
-    """Overlapping slabs of point ids, along the widest axis, that hold every pair within ``radius``.
+def clique_cells(positions: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per point, the smallest point of its clique cell; and the cell pairs that link across a face.
 
-    Yields id arrays. With size = ``SLAB_POINTS``, slab k holds the points
-    ranked k*size .. (k+1)*size-1 by that coordinate, plus every later point
-    whose coordinate exceeds the slab's last by at most ``radius`` and a
-    margin (``CELL_MARGIN`` of the radius plus ``CELL_ULPS`` ulps of the
-    largest coordinate). A pair within ``radius`` differs by at most that in
-    every coordinate, so it lies in the slab of its lower-ranked point, and a
-    neighbour query over each slab finds every pair. A cloud of at most
-    ``size`` points, or one whose slabs would hold more than twice its
-    points, is one slab.
+    Every two points of a clique cell lie within ``radius`` (see the module
+    docstring). Each cell is tested against 3 face neighbours: the cell
+    above it in its column, and the cells at its z in columns (0, 1) and
+    (1, 0). Each pair of cells with two points within ``radius`` (tested
+    exactly, in chunks of about ``CANDIDATE_BUDGET`` point pairs) is one row
+    of ``edges``, as the labels of the two cells. A radius too small for
+    cells of ``CELL_ULPS`` ulps of the cloud's extent gives one label per
+    point and no edges.
     """
-    n, size = positions.shape[0], SLAB_POINTS
-    if n > size:
-        x = max(positions.T, key=lambda x: x.max() - x.min())
-        order = np.argsort(x)
-        xs = x[order]
-        pad = radius * (1.0 + CELL_MARGIN) + CELL_ULPS * np.spacing(max(-xs[0], xs[-1]))
-        starts = np.arange(0, n, size)
-        ends = np.searchsorted(xs, xs[np.minimum(starts + size, n) - 1] + pad, side="right")
-        del xs
-        if (ends - starts).sum() <= 2 * n:
-            for start, end in zip(starts, ends):
-                yield order[start:end]
-            return
-    yield np.arange(n)
+    positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
+    n = positions.shape[0]
+    labels, edges = np.arange(n), [np.empty((0, 2), dtype=np.int64)]
+    span = (positions.max(axis=0) - positions.min(axis=0)).max() if n else 0.0
+    if n < 2 or not _side(radius, span, clique=True) >= CELL_ULPS * np.spacing(span):
+        return labels, edges[0]
+    grid = _Grid(positions, radius, clique=True)
+    starts, count = grid.starts, np.diff(grid.starts)
+    cell_label = np.minimum.reduceat(grid.order, starts[:-1])
+    coords = _coordinate_rows(positions, grid.order)
+    for dx, dy, dz in _FACES:
+        faces = grid.key_at(grid.cell_column, grid.cell_z + dz, [(dx, dy)])[0]
+        at = np.searchsorted(grid.keys, faces)
+        near = np.flatnonzero(grid.keys[np.minimum(at, grid.keys.size - 1)] == faces)
+        far = at[near]
+        del faces, at
+        cost = count[near] * count[far]
+        linked = np.zeros(cost.size, dtype=bool)
+        for a, b in _chunks(cost):
+            face, i = _expand(np.arange(a, b), starts[near[a:b]], count[near[a:b]])
+            row, j = _expand(np.arange(face.size), starts[far[face]], count[far[face]])
+            linked[face[row[_squared_gaps(coords, i[row], coords, j) <= radius * radius]]] = True
+        linked = np.flatnonzero(linked)
+        edges.append(np.stack([cell_label[near[linked]], cell_label[far[linked]]], axis=1))
+    del coords
+    labels[grid.order] = np.repeat(cell_label, count)
+    return labels, np.concatenate(edges)

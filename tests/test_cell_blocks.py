@@ -1,14 +1,16 @@
-"""Cell blocks against the O(N^2) oracles, on geometry chosen to break them.
+"""Cell blocks and clique cells against the O(N^2) oracles, on geometry chosen to break them.
 
 The flag and link steps skip every point whose block (``block_reduce``: the
 3x3x3 cells around its own, cells a little wider than the radius) shows that
-nothing can change there. These clouds put neighbours where such a rule is
-most likely to lose one: ties at exactly the radius far from the origin,
-where ``x - min`` rounds; points on multiples of epsilon and of the core
-radius; an outlier that would overflow a plain int64 cell key; and
-same-class chains that link at epsilon but not within the core radius. The
-same clouds, cut into slabs of a few points (``slabs``), check the
-slab-by-slab core pairs.
+nothing can change there, and links start from clique cells
+(``clique_cells``: cells a little narrower than the radius over sqrt(3)),
+joined across their faces. These clouds put neighbours where such rules are
+most likely to lose one or to join too many: ties at exactly the radius far
+from the origin, where ``x - min`` rounds; points on multiples of epsilon
+and of the clique side; pairs at exactly epsilon across clique cell faces;
+an outlier that would overflow a plain int64 cell key; a radius too small
+for clique cells; and same-class chains whose links are longer than a
+clique cell.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import cloiseg.segmentation
-import cloiseg.spatial
 from cloiseg import (
     BoundaryParams,
     RadiusIndex,
@@ -27,8 +27,8 @@ from cloiseg import (
     detect_gt_instance_boundaries,
     segment,
 )
-from cloiseg.segmentation import CORE_FRACTION
-from cloiseg.spatial import CELL_MARGIN, CELL_ULPS, block_reduce, slabs
+from cloiseg.segmentation import _component_labels, _epsilon_labels, _fragmentation_by_radius
+from cloiseg.spatial import CELL_MARGIN, CELL_ULPS, _side, block_reduce, clique_cells
 from conftest import grid_blob, make_cloud
 from oracles import (
     brute_cell_neighbours,
@@ -39,7 +39,8 @@ from oracles import (
 )
 
 EPS = 0.04
-CORE = CORE_FRACTION * EPS
+#: the side of a clique cell at epsilon, before its margin
+CLIQUE = EPS / np.sqrt(3.0)
 
 
 def _assert_matches_oracles(pos, classes, eps=EPS, r_b=None, mu=1):
@@ -81,7 +82,7 @@ def test_tie_lattice_far_from_the_origin(shift, anchored):
     if anchored:
         pos = np.vstack([pos, np.full((1, 3), shift - 5e6 - 0.3)])
         classes = np.append(classes, 7)
-    for r_b in (None, CORE, 2 * EPS):
+    for r_b in (None, CLIQUE, 2 * EPS):
         _assert_matches_oracles(pos, classes, r_b=r_b)
 
 
@@ -92,28 +93,29 @@ def test_tie_lattice_a_billion_metres_along_one_axis():
     pos = pos + (1e9, 0.0, 0.0)
     pos = np.vstack([pos, [[-0.3, 0.0, 0.0]]])
     classes = np.append(classes, 7)
-    for r_b in (None, CORE):
+    for r_b in (None, CLIQUE):
         _assert_matches_oracles(pos, classes, r_b=r_b)
 
 
-def _pairs_across_cell_edges(depth, radius):
-    """Point pairs at exactly ``radius``, each starting within a few ulps of a cell edge.
+def _pairs_across_cell_edges(depth, radius, clique=False, center=0.0):
+    """Point pairs at exactly ``radius`` along x, each starting within a few ulps of a cell edge.
 
-    The pairs lie within 15 m of the origin and an anchor ``depth`` metres
-    below sets the cloud's minimum, so each point's ``x - min`` rounds to the
-    ulp of ``depth`` on its own. Pairs sit 4 radii apart from each other.
+    The pairs lie within 15 m of ``center`` and an anchor ``depth`` metres
+    below it sets the cloud's minimum, so each point's ``x - min`` rounds to
+    the ulp of ``depth`` on its own. The cells are those of ``radius``, or
+    clique cells. Pairs sit 4 radii apart from each other.
     """
-    lo = -depth
-    span = 16.0 + depth
-    side = radius * (1.0 + CELL_MARGIN) + CELL_ULPS * np.spacing(span)
-    near = 0.1 + np.arange(60) * 0.25
+    lo = center - depth
+    rows = np.arange(60 * 25) * 4 * radius
+    span = max(16.0 + depth, rows[-1])
+    side = _side(radius, span, clique)
+    near = center + 0.1 + np.arange(60) * 0.25
     edges = lo + np.ceil((near - lo) / side) * side
     starts = np.concatenate([edges + k * np.spacing(span) / 4 for k in range(-12, 13)])
     ends = starts + radius
     while ((ends - starts) ** 2 > radius * radius).any():
         too_far = (ends - starts) ** 2 > radius * radius
         ends[too_far] = np.nextafter(ends[too_far], -np.inf)
-    rows = np.arange(starts.size) * 4 * radius
     zeros = np.zeros_like(rows)
     return np.vstack([np.stack([starts, rows, zeros], axis=1), np.stack([ends, rows, zeros], axis=1),
                       [[lo, 0.0, 0.0]]])
@@ -137,21 +139,22 @@ def test_pairs_at_exactly_the_radius_on_cell_edges(depth, radius):
     assert labeling.assignment.tolist() == [*range(m), *range(m), m]
 
 
-def test_points_on_multiples_of_epsilon_and_of_the_core_radius():
-    # same-class rows on multiples of epsilon and of the core radius, measured
-    # from the cloud's minimum, with an other-class row at exactly epsilon
+def test_points_on_multiples_of_epsilon_and_of_the_clique_side():
+    # same-class rows on multiples of epsilon and of epsilon / sqrt(3), the
+    # side of a clique cell before its margin, measured from the cloud's
+    # minimum, with an other-class row at exactly epsilon
     k = np.arange(24)
     rows = [
         np.stack([k * EPS, np.zeros(24), np.zeros(24)], axis=1),
-        np.stack([k * CORE, np.full(24, EPS), np.zeros(24)], axis=1),
-        np.stack([np.zeros(24), 3 * EPS + k * CORE, k * EPS], axis=1),
+        np.stack([k * CLIQUE, np.full(24, EPS), np.zeros(24)], axis=1),
+        np.stack([np.zeros(24), 3 * EPS + k * CLIQUE, k * EPS], axis=1),
         np.stack([k * EPS, np.full(24, 2 * EPS), np.full(24, EPS)], axis=1),
     ]
     pos = np.vstack(rows)
     classes = np.repeat([0, 0, 1, 2], 24)
-    for r_b in (None, CORE, EPS / 2):
+    for r_b in (None, CLIQUE, EPS / 2):
         _assert_matches_oracles(pos, classes, r_b=r_b)
-    _assert_matches_oracles(pos, classes, eps=CORE)
+    _assert_matches_oracles(pos, classes, eps=CLIQUE)
 
 
 def test_outlier_a_billion_metres_away_keeps_every_block():
@@ -168,15 +171,15 @@ def test_outlier_a_billion_metres_away_keeps_every_block():
     got = block_reduce(pos, EPS, bits, np.bitwise_or)
     assert got.tolist() == want.tolist()
     assert got[-1] == 1 and (got[:-1] & 2).any()
-    for r_b in (None, CORE):
+    for r_b in (None, CLIQUE):
         _assert_matches_oracles(pos, classes, r_b=r_b)
 
 
 @pytest.mark.parametrize("spacing", [0.03, EPS, 0.9 * EPS])
 def test_chain_linked_at_epsilon_but_not_in_the_core(spacing):
-    # every link of the chain is longer than the core radius, so each point
-    # is its own core component and only the mixed-point pairs join them; an
-    # other-class point splits the chain by flagging its middle
+    # every link of the chain is longer than a clique cell, so each point is
+    # its own cell, and only face links and the mixed-point pairs join them;
+    # an other-class point splits the chain by flagging its middle
     n = 40
     chain = np.zeros((n, 3))
     chain[:, 0] = np.arange(n) * spacing
@@ -215,88 +218,162 @@ def test_gt_boundaries_at_exactly_the_radius(shift):
     pos = pos + shift
     gt = np.round((pos[:, 0] - pos[:, 0].min()) / EPS).astype(int) // 2
     cloud = make_cloud(pos, classes, gt)
-    for r in (EPS, CORE, 2 * EPS):
+    for r in (EPS, CLIQUE, 2 * EPS):
         flags = detect_gt_instance_boundaries(cloud, RadiusIndex(cloud.positions),
                                               BoundaryParams(r))
         assert flags.tolist() == brute_class_boundaries(pos, gt, r).tolist()
         # the instances' slabs lie one lattice step apart, which the shift
         # rounds to either side of epsilon
         if not (shift and r == EPS):
-            assert flags.any() == (r > CORE)
+            assert flags.any() == (r > CLIQUE)
 
 
-@pytest.fixture
-def small_slabs(monkeypatch):
-    """Core pairs enumerated in slabs of 8 points, so that small clouds take the slab path."""
-    monkeypatch.setattr(cloiseg.spatial, "SLAB_POINTS", 8)
+def _brute_labels(pos, r):
+    """Per point, the smallest point of its component of the pairs within ``r``."""
+    iu, ju = np.nonzero(np.triu(distance_matrix_sq(pos) <= r * r, k=1))
+    labels = np.arange(len(pos))
+    for comp in brute_components(len(pos), zip(iu.tolist(), ju.tolist())):
+        labels[sorted(comp)] = min(comp)
+    return labels
 
 
-def _slab_clouds(rng):
+def _assert_clique_cells_match_the_oracles(pos, r):
+    """Every clique cell within ``r``, every face link a pair within ``r``, and exact components."""
+    labels, edges = clique_cells(pos, r)
+    near = distance_matrix_sq(pos) <= r * r
+    assert near[labels[:, None] == labels[None, :]].all()
+    # each label is the smallest point of its cell
+    assert (labels <= np.arange(len(pos))).all() and (labels[labels] == labels).all()
+    for a, b in edges.tolist():
+        assert a != b and near[np.ix_(labels == a, labels == b)].any()
+    assert len({tuple(sorted(e)) for e in edges.tolist()}) == len(edges)
+    assert _epsilon_labels(pos, r).tolist() == _brute_labels(pos, r).tolist()
+    return labels, edges
+
+
+def _clique_clouds(rng):
     pos, _ = _tie_lattice()
     yield pos
     yield pos + 5e6
     yield pos - 5e6
     yield _pairs_across_cell_edges(5e6 + 0.3, 0.01)
     yield rng.random((200, 3)) * (1.0, 0.2, 0.2)
+    # a few points to a clique cell at epsilon
+    dense = rng.random((300, 3)) * 0.1
+    yield dense
+    yield dense + 5e6
     chain = np.zeros((40, 3))
     chain[:, 0] = np.arange(40) * 0.03
     yield chain
+    k = np.arange(12)
+    yield np.stack(np.meshgrid(k, k, k, indexing="ij"), axis=-1).reshape(-1, 3) * CLIQUE
 
 
-def test_slabs_hold_every_pair(rng, monkeypatch):
-    for pos in _slab_clouds(rng):
-        n = len(pos)
-        for r in (0.01, CORE, EPS):
-            near = np.triu(distance_matrix_sq(pos) <= r * r, k=1)
-            for size in (1, 3, 8, 50, n):
-                monkeypatch.setattr(cloiseg.spatial, "SLAB_POINTS", size)
-                held = np.zeros((n, n), dtype=bool)
-                seen = np.zeros(n, dtype=bool)
-                for ids in slabs(pos, r):
-                    held[np.ix_(ids, ids)] = True
-                    seen[ids] = True
-                assert seen.all()
-                assert not (near & ~held).any()
+def test_clique_cells_are_cliques_joined_by_exact_links(rng):
+    linked = 0
+    for pos in _clique_clouds(rng):
+        for r in (0.01, CLIQUE, EPS):
+            _, edges = _assert_clique_cells_match_the_oracles(pos, r)
+            linked += len(edges)
+    assert linked > 0
 
 
-@pytest.mark.usefixtures("small_slabs")
-def test_slabs_of_one_crowded_coordinate_are_one_slab():
-    # 40 points share x = 0 and one lies 1 m away: each slab would hold every
-    # later point at x = 0, so the cloud is not cut
+def _cell_extremes(lo, side, x):
+    """The least and greatest floats in the cell of positive ``x`` on an axis starting at ``lo``.
+
+    Cells are counted as the grid counts them: ``(x - lo) / side``, truncated.
+    """
+    cell = lambda v: np.floor((v - lo) / side)
+
+    def last(keep, a, b):
+        # the largest float in [a, b] that ``keep`` holds for; positive floats
+        # ascend with their bit patterns
+        a, b = (int(np.float64(v).view(np.int64)) for v in (a, b))
+        while b - a > 1:
+            m = (a + b) // 2
+            a, b = (m, b) if keep(np.int64(m).view(np.float64)) else (a, m)
+        return np.int64(a).view(np.float64)
+
+    k = cell(x)
+    return (np.nextafter(last(lambda v: cell(v) < k, x - 2 * side, x), np.inf),
+            last(lambda v: cell(v) <= k, x, x + 2 * side))
+
+
+@pytest.mark.parametrize("top", [16.0, 2.0 ** 30])
+def test_far_corners_of_clique_cells_lie_within_epsilon(top):
+    # two points on the diagonal of each of 13 clique cells, at the cell's
+    # extreme floats. Just below 2**30, ``x - min`` crosses a power of two and
+    # rounds unevenly, so cells narrowed by a relative margin alone would hold
+    # pairs farther apart than epsilon
+    lo = -0.3
+    side = _side(EPS, (top + 1.0) - lo, clique=True)
+    pos = [[lo] * 3, [top + 1.0] * 3]
+    for k in range(13):
+        pos += [[v] * 3 for v in _cell_extremes(lo, side, top - 0.3 + (k + 0.5) * side)]
+    labels, _ = _assert_clique_cells_match_the_oracles(np.array(pos), EPS)
+    assert (labels[2::2] == labels[3::2]).all()
+
+
+def test_clique_cells_of_one_crowded_coordinate():
+    # 40 points share x = 0, 1mm apart in y, and one lies 1 m away: two cells
+    # of 20 points or so, linked across their face
     pos = np.zeros((41, 3))
     pos[:40, 1] = np.arange(40) * 1e-3
     pos[40, 0] = 1.0
-    assert [ids.tolist() for ids in slabs(pos, EPS)] == [list(range(41))]
+    labels, edges = _assert_clique_cells_match_the_oracles(pos, EPS)
+    assert np.unique(labels).size == 3 and len(edges) == 1
+    assert _epsilon_labels(pos, EPS).tolist() == [0] * 40 + [40]
 
 
-@pytest.mark.usefixtures("small_slabs")
-def test_slab_core_components_are_the_core_radius_components(rng):
-    # lost core pairs would only make more points mixed, which the epsilon
-    # step repairs; so the core labels themselves are checked here
-    for pos in _slab_clouds(rng):
-        for r in (0.01, CORE):
-            near = np.triu(distance_matrix_sq(pos) <= r * r, k=1)
-            iu, ju = np.nonzero(near)
-            want = np.arange(len(pos))
-            for comp in brute_components(len(pos), zip(iu.tolist(), ju.tolist())):
-                want[sorted(comp)] = min(comp)
-            got = cloiseg.segmentation._core_labels(RadiusIndex(pos), r, lambda ids, pairs: pairs)
-            assert got.tolist() == want.tolist()
+@pytest.mark.parametrize("center", [0.0, 5e6, -5e6])
+def test_pairs_at_exactly_epsilon_across_clique_cell_faces(center):
+    # each pair starts within a few ulps of a clique cell's lower face and
+    # ends epsilon further on, in the next cell or the one after it
+    pos = _pairs_across_cell_edges(0.3, EPS, clique=True, center=center)
+    _, edges = _assert_clique_cells_match_the_oracles(pos, EPS)
+    m = (len(pos) - 1) // 2
+    if center == 0.0:
+        # near the origin the pairs keep their exact gaps, and many cross one face
+        assert len(edges) > 0
+        assert _epsilon_labels(pos, EPS).tolist() == [*range(m), *range(m), 2 * m]
+    one_class = np.r_[np.zeros(2 * m, int), 7]
+    _assert_matches_oracles(pos, one_class, r_b=0.01)
 
 
-@pytest.mark.usefixtures("small_slabs")
-def test_slab_core_labels_match_the_oracles():
-    pos, classes = _tie_lattice()
-    for shift in (5e6, -5e6):
-        for r_b in (None, CORE):
-            _assert_matches_oracles(pos + shift, classes, r_b=r_b)
-    k = np.arange(24)
-    rows = np.vstack([np.stack([k * EPS, np.zeros(24), np.zeros(24)], axis=1),
-                      np.stack([k * CORE, np.full(24, EPS), np.zeros(24)], axis=1)])
-    _assert_matches_oracles(rows, np.zeros(48, int))
-    _assert_matches_oracles(rows, np.zeros(48, int), eps=CORE)
-    for spacing in (0.03, 0.9 * EPS):
-        chain = np.zeros((40, 3))
-        chain[:, 0] = np.arange(40) * spacing
-        pos = np.vstack([chain, [[20 * spacing, 0.5 * EPS, 0.0]], chain + (0.0, 0.0, 2 * EPS)])
-        _assert_matches_oracles(pos, np.concatenate([np.full(40, 2), [5], np.full(40, 3)]))
+def test_clique_labels_are_the_epsilon_components(rng):
+    # the labels after the face round only refine the components; the join
+    # step makes them exact, here at radii that put points on cell faces
+    for pos in _clique_clouds(rng):
+        for r in (0.01, CLIQUE, EPS, np.sqrt(2.0) * CLIQUE):
+            labels, edges = clique_cells(pos, r)
+            want = _brute_labels(pos, r)
+            joined = _component_labels(len(pos), edges)[labels]
+            assert (want[joined] == want).all()
+            assert _epsilon_labels(pos, r).tolist() == want.tolist()
+
+
+def test_epsilon_below_the_ulps_of_the_extent_starts_every_point_alone():
+    # at 1e9 m a ulp is 1.2e-7 m, so clique cells for epsilon 1e-6 would be
+    # narrower than CELL_ULPS ulps of the extent: every point is its own label
+    pos = np.array([[0.0, 0, 0], [5e-7, 0, 0], [3e-6, 0, 0], [1e9, 0, 0],
+                    [np.nextafter(np.nextafter(1e9, 2e9), 2e9), 0, 0], [1e9, 0, 2e-6]])
+    labels, edges = clique_cells(pos, 1e-6)
+    assert labels.tolist() == list(range(6)) and edges.shape == (0, 2)
+    assert _epsilon_labels(pos, 1e-6).tolist() == [0, 0, 2, 3, 3, 5]
+    _assert_matches_oracles(pos, np.zeros(6, int), eps=1e-6)
+    for clouds in ((pos[:1], 1e-6), (np.empty((0, 3)), EPS)):
+        labels, edges = clique_cells(*clouds)
+        assert labels.tolist() == list(range(len(clouds[0]))) and edges.shape == (0, 2)
+
+
+def test_radius_sweep_from_clique_cells(rng):
+    # the first radius labels from clique cells, each later one joins at mixed
+    # points; every row equals the oracle's components, on clique cell faces too
+    grids = ((0.01, CLIQUE, EPS), (CLIQUE, CLIQUE, 2 * CLIQUE), (EPS,))
+    for pos in _clique_clouds(rng):
+        for epsilons in grids:
+            got = _fragmentation_by_radius(pos, epsilons)
+            for res, eps in zip(got, epsilons):
+                sizes = np.bincount(_brute_labels(pos, eps))
+                assert (res.component_count, res.largest_fraction) == (
+                    np.count_nonzero(sizes), sizes.max() / len(pos))

@@ -585,7 +585,8 @@ def test_one_interior_tree_per_class_serves_links_and_reattachment(monkeypatch):
     # the trees, in build order: a flag tree per class with another class in
     # reach, over only those points of the other classes; then per class one
     # tree over its interior, for links and reattachment, and one over its
-    # mixed points, built only when some block holds two core components
+    # mixed points, built only when some block holds two components of the
+    # face-linked clique cells
     built = []
 
     class CountingIndex(RadiusIndex):
@@ -606,11 +607,13 @@ def test_one_interior_tree_per_class_serves_links_and_reattachment(monkeypatch):
     segment(make_cloud(pos, 3))
     assert built == [len(pos)]
 
-    # a chain spaced 3cm links at epsilon but not within the core radius
-    # (0.6 * 4cm), so each of its points is mixed; the blob's are not
+    # a chain spaced 3cm, wider than a clique cell (2.31cm at 4cm), falls
+    # into runs of 3 or 4 points in cells linked across their faces, split
+    # where it skips a cell; its points whose block holds two runs are mixed
+    # (26 of 30), the blob's are not
     built.clear()
     chain = np.zeros((30, 3))
     chain[:, 0] = 1.0 + np.arange(30) * 0.03
     labeling = segment(make_cloud(np.vstack([grid_blob((0, 0, 0), 64), chain]), 3))
-    assert built == [94, 30]
+    assert built == [94, 26]
     assert labeling.assignment.tolist() == [0] * 64 + [1] * 30

@@ -116,8 +116,8 @@ def test_pairs_within_matches_oracles_on_duplicate_lattices(case):
     assert pairs.dtype == np.int64
 
 
-def _nearest(index, queries, cap, workers=1):
-    rows, nearest = index.nearest_within(queries, cap, workers=workers)
+def _nearest(index, queries, cap):
+    rows, nearest = index.nearest_within(queries, cap)
     return list(zip(rows.tolist(), nearest.tolist()))
 
 
@@ -129,7 +129,6 @@ def test_nearest_within_matches_brute_force(rng):
         index = RadiusIndex(positions)
         expect = brute_nearest_within(positions, queries, cap)
         assert _nearest(index, queries, cap) == expect
-        assert _nearest(index, queries, cap, workers=2) == expect
 
 
 def test_nearest_within_lists_every_exact_tie():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cloiseg.spatial
+import cloiseg.segmentation
 from cloiseg import (
     ClassLabel,
     RadiusIndex,
@@ -455,61 +455,57 @@ def test_radius_sweep_key_fallback():
         _assert_radius_rows_match_oracles(cloud, epsilons)
 
 
-def test_radius_sweep_in_small_slabs(monkeypatch):
-    # objects larger than a slab label their first radius slab by slab
-    positions, classes, gt = _adversarial_objects()
-    cloud = make_cloud(positions, classes, gt)
-    want = {e: sweep_radius_per_object(cloud, e) for e in RADIUS_GRIDS}
-    monkeypatch.setattr(cloiseg.spatial, "SLAB_POINTS", 8)
-    for epsilons in RADIUS_GRIDS:
-        got = sweep_radius_per_object(cloud, epsilons)
-        assert rows_to_csv_text(got[0]) == rows_to_csv_text(want[epsilons][0])
-        assert got[1] == want[epsilons][1]
-    _assert_radius_rows_match_oracles(cloud, (0.01, 0.02, 0.03, 0.04))
+def _record_queries(monkeypatch):
+    """Every clique-cell round and pair query, as (kind, points, radius, links or pairs)."""
+    calls = []
+    clique_cells, pairs_within = cloiseg.segmentation.clique_cells, RadiusIndex.pairs_within
+
+    def cliques(positions, r):
+        labels, edges = clique_cells(positions, r)
+        calls.append(("cliques", len(positions), r, len(edges)))
+        return labels, edges
+
+    def pairs(self, r):
+        found = pairs_within(self, r)
+        calls.append(("pairs", len(self), r, len(found)))
+        return found
+
+    monkeypatch.setattr(cloiseg.segmentation, "clique_cells", cliques)
+    monkeypatch.setattr(RadiusIndex, "pairs_within", pairs)
+    return calls
+
+
+# a lattice spaced 1cm is one component at the first radius, and a chain
+# spaced 2.5cm beside it at the third. At 1cm each lattice point is its own
+# clique cell (side 5.8mm), and the cells skip one every other step, so the
+# face round links 27 cell pairs and leaves every point mixed; its 54 pairs
+# make it one piece. The chain's points lie in separate blocks at 1cm, so
+# nothing is mixed. At 2cm only the chain's points whose block holds another
+# chain point are mixed (5 of 6), with no pair; at 3cm its 5 links
+ONE_PIECE_QUERIES = [("cliques", 27, 0.01, 27), ("pairs", 27, 0.01, 54),
+                     ("cliques", 6, 0.01, 0), ("pairs", 5, 0.02, 0), ("pairs", 6, 0.03, 5)]
 
 
 def test_radius_sweep_enumerates_no_pairs_for_an_object_in_one_piece(monkeypatch):
-    # pairs_within calls as (points, radius, pairs): a lattice spaced 1cm is
-    # one component at the first radius, and a chain spaced 2.5cm beside it
-    # at the third; no later radius enumerates a pair of either
-    calls = []
-    pairs_within = RadiusIndex.pairs_within
-
-    def recording(self, r):
-        pairs = pairs_within(self, r)
-        calls.append((len(self), r, len(pairs)))
-        return pairs
-
-    monkeypatch.setattr(RadiusIndex, "pairs_within", recording)
+    # once an object is in one piece, no later radius queries anything of it
+    calls = _record_queries(monkeypatch)
     blob = grid_blob((0.0, 0.0, 0.0), 27, spacing=0.01)
     chain = _chain((0.02, 0.0, 0.0), 6, 0.025)
     cloud = make_cloud(np.vstack([blob, chain]), 2, np.repeat([0, 1], [27, 6]))
     rows, _ = sweep_radius_per_object(cloud, DEFAULT_EPSILONS, thresholds=(1.0,))
     assert [r["m_rec_ins@1"] for r in rows] == [0.5, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0]
-    # each object enumerates every pair at 1cm: the lattice's 54 edges make
-    # it one piece, and it enumerates nothing more; the chain has no pair.
-    # At 2cm only the chain's points whose block holds another chain point
-    # are mixed (5 of 6), with no pair; at 3cm its 5 links; then nothing
-    assert calls == [(27, 0.01, 54), (6, 0.01, 0), (5, 0.02, 0), (6, 0.03, 5)]
+    assert calls == ONE_PIECE_QUERIES
 
 
 def test_radius_sweep_repeats_a_repeated_radius(monkeypatch):
-    # a grid value equal to the one before repeats its row without a pair
-    # query: the calls are those of the grid without the repeat
+    # a grid value equal to the one before repeats its row without a query:
+    # the calls are those of the grid without the repeat
     blob = grid_blob((0.0, 0.0, 0.0), 27, spacing=0.01)
     chain = _chain((0.02, 0.0, 0.0), 6, 0.025)
     cloud = make_cloud(np.vstack([blob, chain]), 2, np.repeat([0, 1], [27, 6]))
     want, _ = sweep_radius_per_object(cloud, (0.01, 0.02, 0.03), thresholds=(0.5, 1.0))
-    calls = []
-    pairs_within = RadiusIndex.pairs_within
-
-    def recording(self, r):
-        pairs = pairs_within(self, r)
-        calls.append((len(self), r, len(pairs)))
-        return pairs
-
-    monkeypatch.setattr(RadiusIndex, "pairs_within", recording)
+    calls = _record_queries(monkeypatch)
     rows, _ = sweep_radius_per_object(cloud, (0.01, 0.02, 0.02, 0.03), thresholds=(0.5, 1.0))
-    assert calls == [(27, 0.01, 54), (6, 0.01, 0), (5, 0.02, 0), (6, 0.03, 5)]
+    assert calls == ONE_PIECE_QUERIES
     assert rows_to_csv_text(rows) == rows_to_csv_text(want[:2] + want[1:])
     _assert_radius_rows_match_oracles(cloud, (0.01, 0.02, 0.02, 0.03))
