@@ -54,8 +54,6 @@ NEAREST_TIERS = (1 / 3, 1.0)
 # block's own column in key order
 _BLOCK = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
 _FORWARD = ((0, 1), (1, -1), (1, 0), (1, 1))
-# the 3 forward cells (dx, dy, dz) that share a face with a cell
-_FACES = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
 
 
 def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -389,7 +387,8 @@ def clique_cells(positions: np.ndarray, radius: float) -> tuple[np.ndarray, np.n
     starts, count = grid.starts, np.diff(grid.starts)
     cell_label = np.minimum.reduceat(grid.order, starts[:-1])
     coords = _coordinate_rows(positions, grid.order)
-    for dx, dy, dz in _FACES:
+    # the cells one step forward (dx, dy, dz) that share a face with each cell
+    for dx, dy, dz in ((0, 0, 1), (0, 1, 0), (1, 0, 0)):
         faces = grid.key_at(grid.cell_column, grid.cell_z + dz, [(dx, dy)])[0]
         at = np.searchsorted(grid.keys, faces)
         near = np.flatnonzero(grid.keys[np.minimum(at, grid.keys.size - 1)] == faces)
