@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass
+from dataclasses import replace
 
 from . import __version__
 from .boundary import BoundaryParams, _class_boundary_flags, detect_gt_instance_boundaries
@@ -42,8 +41,6 @@ from .sweep import (
 )
 from .synth import PROFILE_NAMES, SceneSpec, generate_scene, make_benchmark_suite
 
-THREADS_ENV_VAR = "CLOI_SEG_THREADS"
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse variant that exits 1 (not 2) on usage errors."""
@@ -61,76 +58,31 @@ def _ints(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v.strip()]
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One validated CLI invocation; construction precedes all file I/O."""
+def _given(args: argparse.Namespace, *names: str) -> dict:
+    """The options among ``names`` that the subcommand has, by name."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
 
-    command: str
-    inputs: tuple[str, ...]
-    output: str | None
-    params: SegmentationParams
-    thresholds: tuple[float, ...]
-    threshold: float
-    epsilons: tuple[float, ...]
-    mus: tuple[int, ...]
-    mode: str | None
-    profile: str | None
-    spec_path: str | None
-    manifest_path: str | None
-    seed: int | None
-    index: int
-    gt_boundaries: bool
-    threads: int
-    quiet: bool
 
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        get = lambda name, default=None: getattr(args, name, default)
-        params = SegmentationParams(epsilon=get("epsilon", 0.04), mu=get("mu", 20),
-                                    boundary_radius=get("boundary_radius"))
-        threshold = float(get("threshold", 0.5))
-        grids = SweepSpec(epsilons=get("epsilons", DEFAULT_EPSILONS),
-                          mus=get("mus", DEFAULT_MUS),
-                          thresholds=get("thresholds", THRESHOLDS))
-        if not 0 < threshold <= 1:
-            raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-        threads = get("threads")
-        if threads is None:
-            env = os.environ.get(THREADS_ENV_VAR)
-            try:
-                threads = int(env) if env else (os.cpu_count() or 1)
-            except ValueError:
-                raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from None
-        if threads < 1:
-            raise ValueError(f"--threads must be >= 1, got {threads}")
-        if get("manifest") and not get("profile"):
-            raise ValueError("--manifest requires --profile")
-        inputs = get("inputs")
-        if inputs is None:
-            inputs = [p for p in (get("input"), get("pred"), get("gt")) if p is not None]
-        return cls(
-            command=args.command,
-            inputs=tuple(inputs),
-            output=get("output"),
-            params=params,
-            thresholds=grids.thresholds,
-            threshold=threshold,
-            epsilons=grids.epsilons,
-            mus=grids.mus,
-            mode=get("mode"),
-            profile=get("profile"),
-            spec_path=get("spec"),
-            manifest_path=get("manifest"),
-            seed=get("seed"),
-            index=int(get("index", 0)),
-            gt_boundaries=bool(get("gt_flag", False)),
-            threads=int(threads),
-            quiet=bool(get("quiet", False)),
-        )
+def _check(args: argparse.Namespace) -> None:
+    """Validate every parameter on ``args`` before any file is touched, or raise ValueError.
 
-    def log(self, message: str) -> None:
-        if not self.quiet:
-            print(message, file=sys.stderr)
+    Adds ``args.params`` and replaces the grids with their validated tuples.
+    """
+    args.params = SegmentationParams(**_given(args, "epsilon", "mu", "boundary_radius"))
+    grids = SweepSpec(**_given(args, "epsilons", "mus", "thresholds"))
+    args.epsilons, args.mus, args.thresholds = grids.epsilons, grids.mus, grids.thresholds
+    threshold = getattr(args, "threshold", 0.5)
+    if not 0 < threshold <= 1:
+        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
+    if args.threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
+    if getattr(args, "manifest", None) and not args.profile:
+        raise ValueError("--manifest requires --profile")
+
+
+def _log(args: argparse.Namespace, message: str) -> None:
+    if not args.quiet:
+        print(message, file=sys.stderr)
 
 
 def build_parser() -> _Parser:
@@ -140,9 +92,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def common(p):
-        p.add_argument("--threads", type=int, default=None,
-                       help=f"accepted and validated, no effect: every command runs in one "
-                            f"thread (default: all cores, or ${THREADS_ENV_VAR})")
+        p.add_argument("--threads", type=int, default=1,
+                       help="must be >= 1; kept so that scripts passing it run unchanged, "
+                            "but every command runs in one thread and writes the same bytes")
         p.add_argument("--quiet", action="store_true", help="suppress stderr status lines")
 
     p = sub.add_parser("synth", help="generate a synthetic labeled scene")
@@ -150,7 +102,6 @@ def build_parser() -> _Parser:
     g.add_argument("--profile", choices=list(PROFILE_NAMES))
     g.add_argument("--spec", help="explicit SceneSpec JSON file")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--index", type=int, default=0, help="scene index within the profile suite")
     p.add_argument("--manifest", help="write the profile's expectation manifest JSON here")
     p.add_argument("--out", required=True, dest="output")
     common(p)
@@ -203,54 +154,48 @@ def _load(path) -> LabeledPointCloud:
     return load_pts(path)
 
 
-def _cmd_synth(cfg: RunConfig) -> int:
-    if cfg.spec_path:
-        spec = SceneSpec.from_json(cfg.spec_path)
-        if cfg.seed is not None:
-            spec = SceneSpec(spec.shapes, cfg.seed, spec.clutter, spec.min_declared_gap)
+def _cmd_synth(args: argparse.Namespace) -> int:
+    if args.spec:
+        spec = SceneSpec.from_json(args.spec)
+        if args.seed is not None:
+            spec = replace(spec, seed=args.seed)
     else:
-        suite = make_benchmark_suite(cfg.profile, seed=cfg.seed or 0)
-        if not 0 <= cfg.index < len(suite):
-            raise ValueError(f"profile {cfg.profile!r} has {len(suite)} scene(s); "
-                             f"index {cfg.index} is out of range")
-        spec, manifest = suite[cfg.index]
+        (spec, manifest), = make_benchmark_suite(args.profile, seed=args.seed or 0)
     cloud = generate_scene(spec)
-    save_pts(cloud, cfg.output)
-    if cfg.manifest_path:
-        with atomic_open(cfg.manifest_path, encoding="utf-8") as f:
+    save_pts(cloud, args.output)
+    if args.manifest:
+        with atomic_open(args.manifest, encoding="utf-8") as f:
             json.dump(manifest, f, indent=2)
             f.write("\n")
-    cfg.log(f"wrote {len(cloud)} points to {cfg.output}")
+    _log(args, f"wrote {len(cloud)} points to {args.output}")
     return 0
 
 
-def _cmd_boundary(cfg: RunConfig) -> int:
-    cloud = _load(cfg.inputs[0])
-    radius = cfg.params.resolved_boundary_radius
-    if cfg.gt_boundaries:
+def _cmd_boundary(args: argparse.Namespace) -> int:
+    cloud = _load(args.input)
+    if args.gt_flag:
         flags = detect_gt_instance_boundaries(cloud, RadiusIndex(cloud.positions),
-                                              BoundaryParams(radius))
+                                              BoundaryParams(args.boundary_radius))
     else:
-        flags = _class_boundary_flags(cloud.positions, cloud.class_labels, radius)
-    save_pts(cloud, cfg.output, include_predictions=cloud.has_predictions, extra_column=flags)
-    cfg.log(f"flagged {int(flags.sum())} of {len(cloud)} points")
+        flags = _class_boundary_flags(cloud.positions, cloud.class_labels, args.boundary_radius)
+    save_pts(cloud, args.output, include_predictions=cloud.has_predictions, extra_column=flags)
+    _log(args, f"flagged {int(flags.sum())} of {len(cloud)} points")
     return 0
 
 
-def _cmd_segment(cfg: RunConfig) -> int:
-    cloud = _load(cfg.inputs[0])
-    labeling = segment(cloud, cfg.params, workers=cfg.threads)
-    save_pts(cloud.with_predictions(labeling.assignment), cfg.output,
+def _cmd_segment(args: argparse.Namespace) -> int:
+    cloud = _load(args.input)
+    labeling = segment(cloud, args.params)
+    save_pts(cloud.with_predictions(labeling.assignment), args.output,
              include_predictions=True)
-    cfg.log(f"{labeling.n_instances} instances "
-            f"({int((labeling.assignment < 0).sum())} noise points)")
+    _log(args, f"{labeling.n_instances} instances "
+               f"({int((labeling.assignment < 0).sum())} noise points)")
     return 0
 
 
-def _cmd_eval(cfg: RunConfig) -> int:
-    pred_path, gt_path = cfg.inputs
-    pred_cloud = _load(pred_path)
-    gt_cloud = _load(gt_path)
+def _cmd_eval(args: argparse.Namespace) -> int:
+    pred_cloud = _load(args.pred)
+    gt_cloud = _load(args.gt)
     if len(pred_cloud) != len(gt_cloud):
         raise ValueError(f"cloud sizes differ: {len(pred_cloud)} vs {len(gt_cloud)}")
     if not (pred_cloud.positions == gt_cloud.positions).all():
@@ -258,54 +203,52 @@ def _cmd_eval(cfg: RunConfig) -> int:
     if not (pred_cloud.class_labels == gt_cloud.class_labels).all():
         raise ValueError("class labels differ between prediction and ground-truth files")
     if not pred_cloud.has_predictions:
-        raise ValueError(f"{pred_path} has no prediction column")
+        raise ValueError(f"{args.pred} has no prediction column")
     if not gt_cloud.has_ground_truth:
-        raise ValueError(f"{gt_path} has no ground-truth instance ids on every point")
+        raise ValueError(f"{args.gt} has no ground-truth instance ids on every point")
     pred = InstanceLabeling.from_assignment(pred_cloud.pred_instance, pred_cloud.class_labels)
     gt = InstanceLabeling.from_assignment(gt_cloud.gt_instance, gt_cloud.class_labels)
-    report = score(pred, gt, thresholds=cfg.thresholds)
+    report = score(pred, gt, thresholds=args.thresholds)
     fields, rows = report.to_rows()
     sys.stdout.write(rows_to_csv_text(rows, fields))
     return 0
 
 
-def _cmd_sweep(cfg: RunConfig) -> int:
-    selected = None
-    if cfg.mode == "bias":
-        if len(cfg.inputs) < 2:
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    params, selected = args.params, None
+    if args.mode == "bias":
+        if len(args.inputs) < 2:
             raise ValueError("bias mode needs at least 2 input clouds")
-        named = [(p, _load(p)) for p in cfg.inputs]
-        rows, summary = facility_bias_report(named, cfg.params, cfg.threshold,
-                                             workers=cfg.threads)
+        named = [(p, _load(p)) for p in args.inputs]
+        rows, summary = facility_bias_report(named, params, args.threshold)
         rows = rows + [{"facility": "mean", "m_prec": summary["m_prec_mean"],
                         "m_rec": summary["m_rec_mean"]},
                        {"facility": "std", "m_prec": summary["m_prec_std"],
                         "m_rec": summary["m_rec_std"]}]
     else:
-        if len(cfg.inputs) != 1:
-            raise ValueError(f"{cfg.mode} mode takes exactly one input cloud")
-        cloud = _load(cfg.inputs[0])
-        if cfg.mode == "mu":
-            rows = sweep_mu(cloud, cfg.params.epsilon, cfg.mus, cfg.threshold,
-                            boundary_radius=cfg.params.boundary_radius, workers=cfg.threads)
-        elif cfg.mode == "epsilon":
-            rows = sweep_epsilon(cloud, cfg.epsilons, cfg.params.mu, cfg.thresholds,
-                                 boundary_radius=cfg.params.boundary_radius,
-                                 workers=cfg.threads)
+        if len(args.inputs) != 1:
+            raise ValueError(f"{args.mode} mode takes exactly one input cloud")
+        cloud = _load(args.inputs[0])
+        if args.mode == "mu":
+            rows = sweep_mu(cloud, params.epsilon, args.mus, args.threshold,
+                            boundary_radius=params.boundary_radius)
+        elif args.mode == "epsilon":
+            rows = sweep_epsilon(cloud, args.epsilons, params.mu, args.thresholds,
+                                 boundary_radius=params.boundary_radius)
         else:
-            rows, selected = sweep_radius_per_object(cloud, cfg.epsilons, cfg.thresholds)
-    if cfg.output:
-        write_csv(rows, cfg.output)
-        cfg.log(f"wrote {len(rows)} rows to {cfg.output}")
+            rows, selected = sweep_radius_per_object(cloud, args.epsilons, args.thresholds)
+    if args.output:
+        write_csv(rows, args.output)
+        _log(args, f"wrote {len(rows)} rows to {args.output}")
     else:
         sys.stdout.write(rows_to_csv_text(rows))
-    if cfg.mode == "radius":
-        cfg.log(f"selected epsilon: {selected}")
+    if args.mode == "radius":
+        _log(args, f"selected epsilon: {selected}")
     return 0
 
 
-def _cmd_stats(cfg: RunConfig) -> int:
-    cloud = _load(cfg.inputs[0])
+def _cmd_stats(args: argparse.Namespace) -> int:
+    cloud = _load(args.input)
     hist = class_histogram(cloud)
     rows = [{"class": c.name.lower(), "instances": hist[c][0], "points": hist[c][1]}
             for c in ClassLabel]
@@ -330,12 +273,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = RunConfig.from_args(args)
+        _check(args)
     except ValueError as exc:
         print(f"cloiseg: error: {exc}", file=sys.stderr)
         return 1
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except (PtsParseError, ValueError, OSError) as exc:
         print(f"cloiseg: error: {exc}", file=sys.stderr)
         return 2

@@ -42,7 +42,7 @@ import numpy as np
 
 from .boundary import _class_boundary_flags
 from .model import NOISE, LabeledPointCloud, _group_instances
-from .spatial import RadiusIndex, block_reduce, clique_cells
+from .spatial import RadiusIndex, _checked_positions, block_reduce, clique_cells
 
 #: Boundary points farther than this multiple of epsilon from every
 #: same-class instance become NOISE instead of joining one.
@@ -308,7 +308,7 @@ def _mu_filter(assignment: np.ndarray, mu: int) -> tuple[np.ndarray, int, int]:
 
 def segment_single_object(positions: np.ndarray, epsilon: float) -> SingleObjectResult:
     """Fragmentation of one object: plain distance components, no class or boundary rules."""
-    positions = np.asarray(positions, dtype=np.float64)
+    positions = _checked_positions(positions)
     if positions.size == 0:
         raise ValueError("object has no points")
     if not epsilon > 0:

@@ -209,6 +209,18 @@ def _chunks(cost: np.ndarray):
     return zip(bounds[:-1].tolist(), bounds[1:].tolist())
 
 
+def _checked_positions(positions) -> np.ndarray:
+    """``positions`` as a contiguous float64 array of shape (N, 3), all finite, or ValueError."""
+    positions = np.ascontiguousarray(positions, dtype=np.float64)
+    if positions.size == 0:
+        positions = positions.reshape(0, 3)
+    if positions.ndim != 2 or positions.shape[1] != 3:
+        raise ValueError(f"positions must have shape (N, 3), got {positions.shape}")
+    if not np.isfinite(positions).all():
+        raise ValueError("positions must be finite")
+    return positions
+
+
 def _expand(owner: np.ndarray, first: np.ndarray, count: np.ndarray):
     """Each ``owner`` repeated ``count`` times, beside ``first .. first + count - 1``."""
     offset = np.cumsum(count) - count
@@ -225,14 +237,7 @@ class RadiusIndex:
     """
 
     def __init__(self, positions: np.ndarray):
-        positions = np.ascontiguousarray(positions, dtype=np.float64)
-        if positions.size == 0:
-            positions = positions.reshape(0, 3)
-        if positions.ndim != 2 or positions.shape[1] != 3:
-            raise ValueError(f"positions must have shape (N, 3), got {positions.shape}")
-        if not np.isfinite(positions).all():
-            raise ValueError("positions must be finite")
-        self.positions = positions
+        self.positions = _checked_positions(positions)
 
     def __len__(self) -> int:
         return self.positions.shape[0]
@@ -302,7 +307,7 @@ class RadiusIndex:
         """
         if not cap > 0:
             raise ValueError(f"cap must be positive, got {cap}")
-        points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+        points = _checked_positions(points)
         rows, nearest = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
         todo = np.arange(points.shape[0]) if len(self) else np.empty(0, dtype=np.int64)
         for fraction in NEAREST_TIERS:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +57,9 @@ def test_invalid_parameter_value_exits_one(tmp_path, capsys):
     # parameters are validated before any file is touched
     assert main(["segment", "--epsilon", "-1", "missing.pts", "out.pts"]) == 1
     assert main(["sweep", "--mode", "mu", "--mus", "50,10", "missing.pts"]) == 1
-    assert main(["segment", "--threads", "0", "missing.pts", "out.pts"]) == 1
+    for command in (["segment", "missing.pts", "out.pts"], ["stats", "missing.pts"],
+                    ["synth", "--profile", "dense", "--out", str(tmp_path / "out.pts")]):
+        assert main([*command, "--threads", "0"]) == 1, command
     # NaN passes a bare comparison and inf would enumerate every pair
     for grid in (["--mode", "epsilon", "--epsilons", "nan"],
                  ["--mode", "radius", "--epsilons", "0.02,nan"],
@@ -210,6 +213,19 @@ def test_synth_spec_json(tmp_path):
     assert np.allclose(cloud.positions, generate_scene(spec).positions)
 
 
+def test_synth_spec_json_with_seed(tmp_path):
+    # --seed replaces the spec's own seed and nothing else
+    (spec, _), = make_benchmark_suite("dense", seed=3)
+    spec_path = tmp_path / "scene.json"
+    spec.to_json(spec_path)
+    plain, seeded, expected = (tmp_path / f"{name}.pts" for name in ("plain", "seeded", "expected"))
+    assert main(["synth", "--spec", str(spec_path), "--out", str(plain)]) == 0
+    assert main(["synth", "--spec", str(spec_path), "--seed", "11", "--out", str(seeded)]) == 0
+    save_pts(generate_scene(replace(spec, seed=11)), expected)
+    assert seeded.read_bytes() == expected.read_bytes()
+    assert seeded.read_bytes() != plain.read_bytes()
+
+
 def test_synth_manifest_written(tmp_path):
     out = tmp_path / "scene.pts"
     man = tmp_path / "manifest.json"
@@ -309,13 +325,6 @@ def test_sweep_bias_mode(tmp_path, capsys):
     assert main(["sweep", "--mode", "bias", str(a)]) == 2
 
 
-def test_non_integer_threads_env_exits_one(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CLOI_SEG_THREADS", "two")
-    assert main(["segment", "missing.pts", str(tmp_path / "out.pts")]) == 1
-    assert "CLOI_SEG_THREADS must be an integer, got 'two'" in capsys.readouterr().err
-    assert not (tmp_path / "out.pts").exists()
-
-
 def test_ply_value_errors_name_the_line(tmp_path, capsys):
     header = ("ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\n"
               "property float y\nproperty float z\nproperty int class\n"
@@ -340,22 +349,28 @@ def test_eval_prediction_errors_name_the_line(tmp_path, capsys):
         assert f"{pred}:3: {message}" in capsys.readouterr().err
 
 
-def test_threads_flag_and_env_do_not_change_output(tmp_path, monkeypatch):
-    # workers reach the class-boundary query of segment at any boundary radius;
-    # the boundary command is pinned too
-    scene = _synth(tmp_path, profile="cluttered")
-    for command in (["segment"], ["segment", "--boundary-radius", "0.03"], ["boundary"]):
+def test_threads_flag_does_not_change_output(tmp_path, capsys):
+    # every command the benchmark passes --threads to accepts it and writes the
+    # same bytes at any value
+    scene = str(_synth(tmp_path, profile="cluttered"))
+    other = str(_synth(tmp_path, profile="cluttered", seed=8, name="other.pts"))
+    seg, out = str(tmp_path / "seg.pts"), tmp_path / "out"
+    assert main(["segment", scene, seg]) == 0
+    sweep = ["sweep", "--epsilons", "0.03,0.04", "--mus", "10,20", "--out", str(out)]
+    commands = [["segment", scene, str(out)],
+                ["segment", "--boundary-radius", "0.03", scene, str(out)],
+                ["boundary", scene, str(out)],
+                ["eval", seg, scene],
+                *([*sweep, "--mode", mode, scene] for mode in ("mu", "epsilon", "radius")),
+                [*sweep, "--mode", "bias", scene, other]]
+    for command in commands:
         outs = []
-        for i, threads in enumerate(("1", "4")):
-            out = tmp_path / f"out{i}.pts"
-            assert main([*command, "--threads", threads, str(scene), str(out)]) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1], command
-        out_env = tmp_path / "out_env.pts"
-        monkeypatch.setenv("CLOI_SEG_THREADS", "2")
-        assert main([*command, str(scene), str(out_env)]) == 0
-        monkeypatch.delenv("CLOI_SEG_THREADS")
-        assert out_env.read_bytes() == outs[0], command
+        for threads in ("1", "4"):
+            out.unlink(missing_ok=True)
+            capsys.readouterr()
+            assert main([*command, "--threads", threads]) == 0, command
+            outs.append((out.read_bytes() if out.exists() else b"", capsys.readouterr().out))
+        assert outs[0] == outs[1] != (b"", ""), command
 
 
 def test_importing_the_cli_loads_no_scipy(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cloiseg.spatial
-from cloiseg import RadiusIndex
+from cloiseg import RadiusIndex, segment_single_object
 from conftest import grid_blob
 from oracles import brute_cell_neighbours, brute_nearest_within, brute_radius_neighbors
 
@@ -50,6 +50,21 @@ def test_argument_errors():
         index.radius_query(0, 0.0)
     with pytest.raises(ValueError):
         RadiusIndex(np.array([[0, 0, np.inf]]))
+
+
+@pytest.mark.parametrize("points, message", [
+    (np.zeros((6, 2)), r"must have shape \(N, 3\), got \(6, 2\)"),
+    (np.array([[0.0, 0.0, 0.0], [0.0, np.nan, 0.0]]), "must be finite"),
+    (np.array([[0.0, 0.0, 0.0], [-np.inf, 0.0, 0.0]]), "must be finite"),
+], ids=["shape", "nan", "inf"])
+@pytest.mark.parametrize("query", ["nearest_within", "segment_single_object"])
+def test_wrong_shaped_or_non_finite_points_are_rejected(points, message, query):
+    # a (6, 2) array must not be read as four points, nor NaN reach the cell cast
+    with pytest.raises(ValueError, match=message):
+        if query == "nearest_within":
+            RadiusIndex(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])).nearest_within(points, 0.5)
+        else:
+            segment_single_object(points, 0.04)
 
 
 def test_queries_match_brute_force_on_random_probes(rng):

@@ -445,8 +445,9 @@ def test_radius_sweep_matches_oracles_on_adversarial_objects(shift):
 
 
 def test_radius_sweep_key_fallback():
-    # a 1e-12 grid value, and a point 1e9 m out along every axis, overflow
-    # the cell keys: every block is then the whole object
+    # a 1e-12 grid value, and a point 1e9 m out along every axis, would
+    # overflow plain cell keys: the keys are compressed instead, and a radius
+    # below the ulps of the far cloud's extent starts every point alone
     positions, classes, gt = _adversarial_objects()
     _assert_radius_rows_match_oracles(make_cloud(positions, classes, gt), (1e-12, 0.02, 0.03))
     far = np.vstack([positions, [[1e9, 1e9, 1e9]]])
