@@ -2,7 +2,8 @@
 
 Each profile's first scene (seed 101) is generated, then segmented, flagged
 three ways, scored and swept in every mode, all through ``cli.main`` in this
-process. The digests of the scenes and of the outputs are compared with the
+process. The 1.1M-point criterion-10 scene is pinned by the digest of its
+positions, classes and ground truth. The digests of the scenes and of the outputs are compared with the
 committed table ``golden_digests.json``: a moved scene digest means the
 input changed (``synth`` draws through ``np.sin`` and ``np.cos``, whose last
 bit may differ between platforms), a moved output digest alone means the
@@ -27,7 +28,8 @@ import tempfile
 from pathlib import Path
 
 from cloiseg.cli import main
-from cloiseg.synth import PROFILE_NAMES
+from cloiseg.synth import PROFILE_NAMES, generate_scene
+from test_acceptance import _million_point_scene
 
 TABLE = Path(__file__).resolve().with_name("golden_digests.json")
 SEED = 101
@@ -84,6 +86,9 @@ def digests() -> dict[str, str]:
     bias = "sweep-bias.csv"
     _run(["sweep", "--mode", "bias", *scenes, "--out", bias])
     table["all/sweep-bias"] = _sha256(Path(bias).read_bytes())
+    scan = generate_scene(_million_point_scene())
+    table["criterion-10/scene"] = _sha256(
+        scan.positions.tobytes() + scan.class_labels.tobytes() + scan.gt_instance.tobytes())
     return table
 
 
