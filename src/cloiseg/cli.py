@@ -178,7 +178,7 @@ def _cmd_boundary(args: argparse.Namespace) -> int:
                                               BoundaryParams(args.boundary_radius))
     else:
         flags = _class_boundary_flags(cloud.positions, cloud.class_labels, args.boundary_radius)
-    save_pts(cloud, args.output, include_predictions=cloud.has_predictions, extra_column=flags)
+    save_pts(cloud, args.output, extra_column=flags)
     _log(args, f"flagged {int(flags.sum())} of {len(cloud)} points")
     return 0
 
@@ -186,8 +186,7 @@ def _cmd_boundary(args: argparse.Namespace) -> int:
 def _cmd_segment(args: argparse.Namespace) -> int:
     cloud = _load(args.input)
     labeling = segment(cloud, args.params)
-    save_pts(cloud.with_predictions(labeling.assignment), args.output,
-             include_predictions=True)
+    save_pts(cloud.with_predictions(labeling.assignment), args.output)
     _log(args, f"{labeling.n_instances} instances "
                f"({int((labeling.assignment < 0).sum())} noise points)")
     return 0

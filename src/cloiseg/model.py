@@ -329,18 +329,15 @@ def atomic_open(path, **open_kwargs):
         raise
 
 
-def save_pts(
-    cloud: LabeledPointCloud, path, include_predictions: bool = False, extra_column=None
-) -> None:
+def save_pts(cloud: LabeledPointCloud, path, *, extra_column=None) -> None:
     """Write a cloud as CLOI-PTS. Coordinates round-trip bit-exactly via repr.
 
+    The prediction column is written exactly when the cloud has one.
     ``extra_column`` (one integer per point) is appended to every row; such
     files are analysis output, not re-loadable CLOI-PTS.
     """
-    if include_predictions and cloud.pred_instance is None:
-        raise ValueError("cloud has no predictions to write")
     ints = [cloud.class_labels, cloud.gt_instance]
-    if include_predictions:
+    if cloud.has_predictions:
         ints.append(cloud.pred_instance)
     if extra_column is not None:
         ints.append(np.asarray(extra_column, dtype=np.int64))

@@ -186,7 +186,6 @@ def facility_bias_report(
     facilities: Sequence[tuple[str, LabeledPointCloud]],
     params: SegmentationParams | None = None,
     threshold: float = 0.5,
-    workers: int | None = None,
 ) -> tuple[list[dict], dict]:
     """Per-facility mean precision/recall plus spread statistics (descriptive only)."""
     if len(facilities) < 2:
@@ -195,7 +194,7 @@ def facility_bias_report(
     rows = []
     for name, cloud in facilities:
         gt = _gt_labeling(cloud)
-        pred = segment(cloud, params, workers=workers)
+        pred = segment(cloud, params)
         tm = score(pred, gt, thresholds=(threshold,)).by_threshold[threshold]
         rows.append({"facility": name, "m_prec": tm.mean_precision, "m_rec": tm.mean_recall})
     precs = np.array([r["m_prec"] for r in rows], dtype=np.float64)

@@ -14,31 +14,21 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .model import ClassLabel, LabeledPointCloud
 
-PROFILE_NAMES = ("sparse", "dense", "cluttered", "refinery-like", "gapped")
-
-_DIM_KEYS = {
-    ClassLabel.CYLINDER: ("radius", "length"),
-    ClassLabel.ELBOW: ("bend_radius", "tube_radius", "sweep_deg"),
-    ClassLabel.IBEAM: ("depth", "width", "length"),
-    ClassLabel.ANGLE: ("leg_a", "leg_b", "length"),
-    ClassLabel.CHANNEL: ("depth", "width", "length"),
-    ClassLabel.FLANGE: ("outer_radius", "bore_radius", "collar_radius", "collar_length"),
-    ClassLabel.VALVE: ("body_radius", "stem_radius", "stem_length",
-                       "wheel_radius", "wheel_tube_radius"),
-    ClassLabel.OTHER: ("size_x", "size_y", "size_z"),
-}
-
 
 @dataclass(frozen=True)
 class ShapeSpec:
-    """One surface-sampled object: class, pose, dimensions, density, noise, gaps."""
+    """One surface-sampled object: class, pose, dimensions, density, noise, gaps.
+
+    Every rule a sampler relies on is checked here, so a spec that breaks one
+    fails when it is built or loaded from JSON, not when it is sampled.
+    """
 
     class_label: ClassLabel
     position: tuple[float, float, float]
@@ -49,21 +39,36 @@ class ShapeSpec:
     gaps: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "class_label", ClassLabel(self.class_label))
+        cls = ClassLabel(self.class_label)
+        object.__setattr__(self, "class_label", cls)
         object.__setattr__(self, "position", tuple(float(v) for v in self.position))
         object.__setattr__(self, "axis", tuple(float(v) for v in self.axis))
+        # a copy, so that shapes built from one dims dict never alias
+        object.__setattr__(self, "dims", {k: float(v) for k, v in self.dims.items()})
+        object.__setattr__(self, "density", float(self.density))
+        object.__setattr__(self, "sigma", float(self.sigma))
         object.__setattr__(self, "gaps", tuple((float(a), float(b)) for a, b in self.gaps))
+        if len(self.position) != 3 or len(self.axis) != 3:
+            raise ValueError("position and axis must have 3 coordinates")
         if not self.density > 0:
             raise ValueError(f"density must be positive, got {self.density}")
         if self.sigma < 0:
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
-        required = _DIM_KEYS[self.class_label]
+        required, nested, _ = _SHAPES[cls]
         missing = [k for k in required if k not in self.dims]
         if missing:
-            raise ValueError(f"{self.class_label.name.lower()} dims missing {missing}")
+            raise ValueError(f"{cls.name.lower()} dims missing {missing}")
         for k in required:
-            if not float(self.dims[k]) > 0:
+            if not self.dims[k] > 0:
                 raise ValueError(f"dimension {k} must be positive, got {self.dims[k]}")
+        if nested and self.dims[nested[0]] >= self.dims[nested[1]]:
+            raise ValueError(f"{cls.name.lower()} {nested[0]} must be smaller than {nested[1]}")
+        if cls is ClassLabel.ELBOW and self.dims["sweep_deg"] not in (90.0, 180.0):
+            raise ValueError(f"elbow sweep_deg must be 90 or 180, got {self.dims['sweep_deg']}")
+        if cls is not ClassLabel.OTHER:
+            norm = np.linalg.norm(self.axis)
+            if norm == 0 or not np.isfinite(norm):
+                raise ValueError(f"axis must be a finite non-zero vector, got {self.axis}")
         prev_hi = -1.0
         for lo, hi in self.gaps:
             if not (0.0 <= lo < hi <= 1.0):
@@ -77,7 +82,7 @@ class ShapeSpec:
             "class": self.class_label.name.lower(),
             "position": list(self.position),
             "axis": list(self.axis),
-            "dims": {k: float(v) for k, v in self.dims.items()},
+            "dims": dict(self.dims),
             "density": self.density,
             "sigma": self.sigma,
             "gaps": [list(g) for g in self.gaps],
@@ -85,15 +90,8 @@ class ShapeSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ShapeSpec":
-        return cls(
-            class_label=ClassLabel[d["class"].upper()],
-            position=tuple(d["position"]),
-            dims=dict(d["dims"]),
-            axis=tuple(d.get("axis", (0.0, 0.0, 1.0))),
-            density=float(d.get("density", 20000.0)),
-            sigma=float(d.get("sigma", 0.0)),
-            gaps=tuple(tuple(g) for g in d.get("gaps", ())),
-        )
+        optional = {k: d[k] for k in ("axis", "density", "sigma", "gaps") if k in d}
+        return cls(ClassLabel[d["class"].upper()], d["position"], d["dims"], **optional)
 
 
 @dataclass(frozen=True)
@@ -125,14 +123,12 @@ class SceneSpec:
     shapes: tuple[ShapeSpec, ...]
     seed: int = 0
     clutter: ClutterSpec | None = None
-    min_declared_gap: float | None = None
 
     def to_dict(self) -> dict:
         return {
             "shapes": [s.to_dict() for s in self.shapes],
             "seed": self.seed,
             "clutter": None if self.clutter is None else self.clutter.to_dict(),
-            "min_declared_gap": self.min_declared_gap,
         }
 
     def to_json(self, path) -> None:
@@ -144,7 +140,6 @@ class SceneSpec:
             shapes=tuple(ShapeSpec.from_dict(s) for s in d["shapes"]),
             seed=int(d.get("seed", 0)),
             clutter=None if d.get("clutter") is None else ClutterSpec.from_dict(d["clutter"]),
-            min_declared_gap=d.get("min_declared_gap"),
         )
 
     @classmethod
@@ -153,15 +148,12 @@ class SceneSpec:
 
 
 def _rng(seed: int, index: int) -> np.random.Generator:
+    """The stream of shape ``index`` (the clutter's index is the shape count)."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(index,))))
 
 
 def _frame(axis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    a = np.asarray(axis, dtype=np.float64)
-    norm = np.linalg.norm(a)
-    if norm == 0 or not np.isfinite(norm):
-        raise ValueError(f"axis must be a finite non-zero vector, got {axis}")
-    a = a / norm
+    a = np.asarray(axis, dtype=np.float64) / np.linalg.norm(axis)
     ref = np.array([1.0, 0.0, 0.0]) if abs(a[0]) <= 0.9 else np.array([0.0, 1.0, 0.0])
     e1 = np.cross(a, ref)
     e1 /= np.linalg.norm(e1)
@@ -183,18 +175,13 @@ def _weighted_angle(rng, count, ring_radius, tube_radius) -> np.ndarray:
     return np.interp(u, cdf, grid)
 
 
-class _Sampled:
-    """Raw sampler output before gap deletion and noise."""
+# Each sampler returns the raw surface before gap deletion and noise:
+# (points, normals, cut, edge), where ``cut`` is each point's primary
+# parametric coordinate in [0, 1] and ``edge(b, phase) -> (points, normals)``
+# is the ring or row at cut ``b`` (None for shapes without one).
 
-    def __init__(self, points, normals, cut, edge_fn=None):
-        self.points = points
-        self.normals = normals
-        self.cut = cut
-        self.edge_fn = edge_fn  # edge_fn(b, phase) -> (points, normals) or None
-
-
-def _sample_cylinder(shape: ShapeSpec, rng) -> _Sampled:
-    r, length = float(shape.dims["radius"]), float(shape.dims["length"])
+def _sample_cylinder(shape: ShapeSpec, rng):
+    r, length = shape.dims["radius"], shape.dims["length"]
     e1, e2, a = _frame(shape.axis)
     base = np.asarray(shape.position, dtype=np.float64)
     n = max(1, round(shape.density * 2.0 * math.pi * r * length))
@@ -207,21 +194,14 @@ def _sample_cylinder(shape: ShapeSpec, rng) -> _Sampled:
     def edge(b, phase):
         center = base + b * length * a
         ring = _ring(center, e1, e2, r, n_ring, phase)
-        normals = (ring - center) / r
-        return ring, normals
+        return ring, (ring - center) / r
 
-    return _Sampled(pts, radial, v, edge)
+    return pts, radial, v, edge
 
 
-def _sample_elbow(shape: ShapeSpec, rng) -> _Sampled:
-    big_r = float(shape.dims["bend_radius"])
-    tube_r = float(shape.dims["tube_radius"])
-    sweep = float(shape.dims["sweep_deg"])
-    if sweep not in (90.0, 180.0):
-        raise ValueError(f"elbow sweep_deg must be 90 or 180, got {sweep}")
-    if tube_r >= big_r:
-        raise ValueError("elbow tube_radius must be smaller than bend_radius")
-    sweep_rad = math.radians(sweep)
+def _sample_elbow(shape: ShapeSpec, rng):
+    big_r, tube_r = shape.dims["bend_radius"], shape.dims["tube_radius"]
+    sweep_rad = math.radians(shape.dims["sweep_deg"])
     e1, e2, a = _frame(shape.axis)
     base = np.asarray(shape.position, dtype=np.float64)
     area = sweep_rad * tube_r * 2.0 * math.pi * big_r
@@ -241,37 +221,34 @@ def _sample_elbow(shape: ShapeSpec, rng) -> _Sampled:
         ring = _ring(center, u, a, tube_r, n_ring, phase)
         return ring, (ring - center) / tube_r
 
-    return _Sampled(pts, normals, phi / sweep_rad, edge)
+    return pts, normals, phi / sweep_rad, edge
 
 
 def _profile_segments(shape: ShapeSpec) -> list[tuple[np.ndarray, np.ndarray]]:
-    cls = shape.class_label
-    if cls is ClassLabel.IBEAM:
-        h, w = float(shape.dims["depth"]), float(shape.dims["width"])
+    """The 2D profile of an I-beam, angle or channel as line segments."""
+    if shape.class_label is ClassLabel.ANGLE:
+        la, lb = shape.dims["leg_a"], shape.dims["leg_b"]
+        return [
+            (np.array([0.0, 0.0]), np.array([la, 0.0])),
+            (np.array([0.0, 0.0]), np.array([0.0, lb])),
+        ]
+    h, w = shape.dims["depth"], shape.dims["width"]
+    if shape.class_label is ClassLabel.IBEAM:
         return [
             (np.array([-w / 2, -h / 2]), np.array([w / 2, -h / 2])),
             (np.array([-w / 2, h / 2]), np.array([w / 2, h / 2])),
             (np.array([0.0, -h / 2]), np.array([0.0, h / 2])),
         ]
-    if cls is ClassLabel.ANGLE:
-        la, lb = float(shape.dims["leg_a"]), float(shape.dims["leg_b"])
-        return [
-            (np.array([0.0, 0.0]), np.array([la, 0.0])),
-            (np.array([0.0, 0.0]), np.array([0.0, lb])),
-        ]
-    if cls is ClassLabel.CHANNEL:
-        h, w = float(shape.dims["depth"]), float(shape.dims["width"])
-        return [
-            (np.array([0.0, -h / 2]), np.array([0.0, h / 2])),
-            (np.array([0.0, -h / 2]), np.array([w, -h / 2])),
-            (np.array([0.0, h / 2]), np.array([w, h / 2])),
-        ]
-    raise ValueError(f"no profile for class {cls.name}")
+    return [
+        (np.array([0.0, -h / 2]), np.array([0.0, h / 2])),
+        (np.array([0.0, -h / 2]), np.array([w, -h / 2])),
+        (np.array([0.0, h / 2]), np.array([w, h / 2])),
+    ]
 
 
-def _sample_extrusion(shape: ShapeSpec, rng) -> _Sampled:
+def _sample_extrusion(shape: ShapeSpec, rng):
     segments = _profile_segments(shape)
-    length = float(shape.dims["length"])
+    length = shape.dims["length"]
     e1, e2, a = _frame(shape.axis)
     base = np.asarray(shape.position, dtype=np.float64)
     seg_len = np.array([np.linalg.norm(p1 - p0) for p0, p1 in segments])
@@ -307,16 +284,12 @@ def _sample_extrusion(shape: ShapeSpec, rng) -> _Sampled:
         pts_e = base + b * length * a + p2[:, :1] * e1 + p2[:, 1:] * e2
         return pts_e, n2[:, :1] * e1 + n2[:, 1:] * e2
 
-    return _Sampled(pts, normals, v, edge)
+    return pts, normals, v, edge
 
 
-def _sample_flange(shape: ShapeSpec, rng) -> _Sampled:
-    r_out = float(shape.dims["outer_radius"])
-    r_in = float(shape.dims["bore_radius"])
-    r_col = float(shape.dims["collar_radius"])
-    l_col = float(shape.dims["collar_length"])
-    if r_in >= r_out:
-        raise ValueError("flange bore_radius must be smaller than outer_radius")
+def _sample_flange(shape: ShapeSpec, rng):
+    r_out, r_in = shape.dims["outer_radius"], shape.dims["bore_radius"]
+    r_col, l_col = shape.dims["collar_radius"], shape.dims["collar_length"]
     e1, e2, a = _frame(shape.axis)
     base = np.asarray(shape.position, dtype=np.float64)
     area_ann = math.pi * (r_out**2 - r_in**2)
@@ -345,17 +318,13 @@ def _sample_flange(shape: ShapeSpec, rng) -> _Sampled:
         ring = _ring(center, e1, e2, r_col, n_ring, phase)
         return ring, (ring - center) / r_col
 
-    return _Sampled(pts, normals, cut, edge)
+    return pts, normals, cut, edge
 
 
-def _sample_valve(shape: ShapeSpec, rng) -> _Sampled:
-    r_body = float(shape.dims["body_radius"])
-    r_stem = float(shape.dims["stem_radius"])
-    l_stem = float(shape.dims["stem_length"])
-    r_wheel = float(shape.dims["wheel_radius"])
-    r_tube = float(shape.dims["wheel_tube_radius"])
-    if r_tube >= r_wheel:
-        raise ValueError("valve wheel_tube_radius must be smaller than wheel_radius")
+def _sample_valve(shape: ShapeSpec, rng):
+    r_body, r_stem = shape.dims["body_radius"], shape.dims["stem_radius"]
+    l_stem = shape.dims["stem_length"]
+    r_wheel, r_tube = shape.dims["wheel_radius"], shape.dims["wheel_tube_radius"]
     e1, e2, a = _frame(shape.axis)
     base = np.asarray(shape.position, dtype=np.float64)
 
@@ -390,63 +359,54 @@ def _sample_valve(shape: ShapeSpec, rng) -> _Sampled:
     extent = 2.0 * r_body + l_stem + r_tube
     axial = (pts - base) @ a
     cut = np.clip((axial + r_body) / extent, 0.0, 1.0)
-    return _Sampled(pts, normals, cut, None)
+    return pts, normals, cut, None
 
 
-def _sample_other(shape: ShapeSpec, rng) -> _Sampled:
-    sx = float(shape.dims["size_x"])
-    sy = float(shape.dims["size_y"])
-    sz = float(shape.dims["size_z"])
+def _sample_other(shape: ShapeSpec, rng):
+    sx, sy, sz = shape.dims["size_x"], shape.dims["size_y"], shape.dims["size_z"]
     base = np.asarray(shape.position, dtype=np.float64)
     area = 2.0 * (sx * sy + sy * sz + sx * sz)
     n = max(1, round(shape.density * area))
     local = rng.random((n, 3)) - 0.5
     pts = base + local * np.array([sx, sy, sz])
     cut = local[:, 0] + 0.5
-    return _Sampled(pts, np.zeros((n, 3)), cut, None)
+    return pts, np.zeros((n, 3)), cut, None
 
 
-_SAMPLERS = {
-    ClassLabel.CYLINDER: _sample_cylinder,
-    ClassLabel.ELBOW: _sample_elbow,
-    ClassLabel.IBEAM: _sample_extrusion,
-    ClassLabel.ANGLE: _sample_extrusion,
-    ClassLabel.CHANNEL: _sample_extrusion,
-    ClassLabel.FLANGE: _sample_flange,
-    ClassLabel.VALVE: _sample_valve,
-    ClassLabel.OTHER: _sample_other,
+# class -> (required dims, each positive; (smaller, larger) dims or None; sampler)
+_SHAPES = {
+    ClassLabel.CYLINDER: (("radius", "length"), None, _sample_cylinder),
+    ClassLabel.ELBOW: (("bend_radius", "tube_radius", "sweep_deg"),
+                       ("tube_radius", "bend_radius"), _sample_elbow),
+    ClassLabel.IBEAM: (("depth", "width", "length"), None, _sample_extrusion),
+    ClassLabel.ANGLE: (("leg_a", "leg_b", "length"), None, _sample_extrusion),
+    ClassLabel.CHANNEL: (("depth", "width", "length"), None, _sample_extrusion),
+    ClassLabel.FLANGE: (("outer_radius", "bore_radius", "collar_radius", "collar_length"),
+                        ("bore_radius", "outer_radius"), _sample_flange),
+    ClassLabel.VALVE: (("body_radius", "stem_radius", "stem_length",
+                        "wheel_radius", "wheel_tube_radius"),
+                       ("wheel_tube_radius", "wheel_radius"), _sample_valve),
+    ClassLabel.OTHER: (("size_x", "size_y", "size_z"), None, _sample_other),
 }
 
 
-def sample_shape(shape: ShapeSpec, seed: int | np.random.SeedSequence = 0) -> np.ndarray:
-    """Surface-sample one shape; returns (n, 3) positions."""
-    if isinstance(seed, np.random.SeedSequence):
-        rng = np.random.Generator(np.random.Philox(seed))
-    else:
-        rng = _rng(int(seed), 0)
-    sampler = _SAMPLERS.get(shape.class_label)
-    if sampler is None:
-        raise ValueError(f"unsupported shape class {shape.class_label}")
-    raw = sampler(shape, rng)
-
-    keep = np.ones(raw.cut.shape[0], dtype=bool)
+def _sample(shape: ShapeSpec, rng: np.random.Generator) -> np.ndarray:
+    """One shape's surface drawn from ``rng``, with its gaps cut and its noise added."""
+    pts, normals, cut, edge = _SHAPES[shape.class_label][2](shape, rng)
+    keep = np.ones(cut.shape[0], dtype=bool)
     for lo, hi in shape.gaps:
-        keep &= ~((raw.cut > lo) & (raw.cut < hi))
-    pts = raw.points[keep]
-    normals = raw.normals[keep]
+        keep &= ~((cut > lo) & (cut < hi))
+    pts, normals = pts[keep], normals[keep]
 
     # edge rings at the gap boundaries pin the realized gap width exactly;
     # both edges of one gap share a phase so opposing points align
-    if shape.gaps and raw.edge_fn is not None:
-        extra_p, extra_n = [], []
+    if shape.gaps and edge is not None:
+        rings = []
         for lo, hi in shape.gaps:
             phase = rng.uniform(0.0, 2.0 * math.pi)
-            for b in (lo, hi):
-                ep, en = raw.edge_fn(b, phase)
-                extra_p.append(ep)
-                extra_n.append(en)
-        pts = np.vstack([pts] + extra_p)
-        normals = np.vstack([normals] + extra_n)
+            rings += [edge(lo, phase), edge(hi, phase)]
+        pts = np.vstack([pts] + [p for p, _ in rings])
+        normals = np.vstack([normals] + [n for _, n in rings])
 
     if shape.sigma > 0 and normals.any():
         disp = rng.normal(0.0, shape.sigma, pts.shape[0])
@@ -455,28 +415,30 @@ def sample_shape(shape: ShapeSpec, seed: int | np.random.SeedSequence = 0) -> np
     return pts
 
 
+def sample_shape(shape: ShapeSpec, seed: int = 0) -> np.ndarray:
+    """Surface-sample one shape; returns (n, 3) positions."""
+    return _sample(shape, _rng(seed, 0))
+
+
 def generate_scene(spec: SceneSpec) -> LabeledPointCloud:
-    """Sample every shape plus clutter into one labeled cloud with exact ground truth."""
-    chunks: list[np.ndarray] = []
-    classes: list[np.ndarray] = []
-    gts: list[np.ndarray] = []
-    for i, shape in enumerate(spec.shapes):
-        pts = sample_shape(shape, np.random.SeedSequence(spec.seed, spawn_key=(i,)))
-        chunks.append(pts)
-        classes.append(np.full(pts.shape[0], int(shape.class_label), dtype=np.int64))
-        gts.append(np.full(pts.shape[0], i, dtype=np.int64))
+    """Sample every shape plus clutter into one labeled cloud with exact ground truth.
+
+    Instance ``i`` is shape ``i``; the clutter, if any, is the last instance.
+    """
+    parts = [(_sample(shape, _rng(spec.seed, i)), shape.class_label)
+             for i, shape in enumerate(spec.shapes)]
     if spec.clutter is not None:
         rng = _rng(spec.seed, len(spec.shapes))
         lo = np.asarray(spec.clutter.box_min, dtype=np.float64)
         hi = np.asarray(spec.clutter.box_max, dtype=np.float64)
-        pts = lo + rng.random((spec.clutter.count, 3)) * (hi - lo)
-        chunks.append(pts)
-        classes.append(np.full(pts.shape[0], int(ClassLabel.OTHER), dtype=np.int64))
-        gts.append(np.full(pts.shape[0], len(spec.shapes), dtype=np.int64))
-    if not chunks:
+        parts.append((lo + rng.random((spec.clutter.count, 3)) * (hi - lo), ClassLabel.OTHER))
+    if not parts:
         return LabeledPointCloud(np.empty((0, 3)), np.empty(0, dtype=np.int64))
+    sizes = [len(pts) for pts, _ in parts]
     return LabeledPointCloud(
-        np.vstack(chunks), np.concatenate(classes), np.concatenate(gts)
+        np.vstack([pts for pts, _ in parts]),
+        np.repeat(np.array([int(cls) for _, cls in parts], dtype=np.int64), sizes),
+        np.repeat(np.arange(len(parts), dtype=np.int64), sizes),
     )
 
 
@@ -484,148 +446,124 @@ def generate_scene(spec: SceneSpec) -> LabeledPointCloud:
 # Benchmark profiles
 # ---------------------------------------------------------------------------
 
+_X_AXIS, _Y_AXIS = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
+_IBEAM = {"depth": 0.2, "width": 0.1, "length": 0.5}
+_ANGLE = {"leg_a": 0.08, "leg_b": 0.08, "length": 0.5}
+_CHANNEL = {"depth": 0.12, "width": 0.05, "length": 0.5}
+_FLANGE = {"outer_radius": 0.08, "bore_radius": 0.03, "collar_radius": 0.04, "collar_length": 0.06}
+_VALVE = {"body_radius": 0.06, "stem_radius": 0.015, "stem_length": 0.1,
+          "wheel_radius": 0.05, "wheel_tube_radius": 0.01}
+
+
+def _shapes(rows, **common) -> list[ShapeSpec]:
+    """Shapes from ``(class, position, dims[, axis])`` rows that share ``common`` fields."""
+    return [ShapeSpec(cls, position, dims, *axis, **common)
+            for cls, position, dims, *axis in rows]
+
+
 def _separated_lineup(density: float, sigma: float, gaps=()) -> list[ShapeSpec]:
     """One object per class on a 1m-spaced line; surface gaps far exceed 4cm."""
-    mk = ShapeSpec
-    return [
-        mk(ClassLabel.CYLINDER, (0.0, 0.0, 0.0), {"radius": 0.04, "length": 0.5},
-           density=density, sigma=sigma, gaps=gaps),
-        mk(ClassLabel.CYLINDER, (1.0, 0.0, 0.0), {"radius": 0.03, "length": 0.4},
-           axis=(1.0, 0.0, 0.0), density=density, sigma=sigma, gaps=gaps),
-        mk(ClassLabel.ELBOW, (2.0, 0.0, 0.0),
-           {"bend_radius": 0.12, "tube_radius": 0.03, "sweep_deg": 90.0},
-           density=density, sigma=sigma, gaps=gaps),
-        mk(ClassLabel.IBEAM, (3.0, 0.0, 0.0), {"depth": 0.2, "width": 0.1, "length": 0.5},
-           density=density, sigma=sigma, gaps=gaps),
-        mk(ClassLabel.ANGLE, (4.0, 0.0, 0.0), {"leg_a": 0.08, "leg_b": 0.08, "length": 0.5},
-           density=density, sigma=sigma, gaps=gaps),
-        mk(ClassLabel.CHANNEL, (5.0, 0.0, 0.0), {"depth": 0.12, "width": 0.05, "length": 0.5},
-           density=density, sigma=sigma, gaps=gaps),
-        mk(ClassLabel.FLANGE, (6.0, 0.0, 0.0),
-           {"outer_radius": 0.08, "bore_radius": 0.03,
-            "collar_radius": 0.04, "collar_length": 0.06},
-           density=density, sigma=sigma),
-        mk(ClassLabel.VALVE, (7.0, 0.0, 0.0),
-           {"body_radius": 0.06, "stem_radius": 0.015, "stem_length": 0.1,
-            "wheel_radius": 0.05, "wheel_tube_radius": 0.01},
-           density=density, sigma=sigma),
-    ]
+    return _shapes([
+        (ClassLabel.CYLINDER, (0.0, 0.0, 0.0), {"radius": 0.04, "length": 0.5}),
+        (ClassLabel.CYLINDER, (1.0, 0.0, 0.0), {"radius": 0.03, "length": 0.4}, _X_AXIS),
+        (ClassLabel.ELBOW, (2.0, 0.0, 0.0),
+         {"bend_radius": 0.12, "tube_radius": 0.03, "sweep_deg": 90.0}),
+        (ClassLabel.IBEAM, (3.0, 0.0, 0.0), _IBEAM),
+        (ClassLabel.ANGLE, (4.0, 0.0, 0.0), _ANGLE),
+        (ClassLabel.CHANNEL, (5.0, 0.0, 0.0), _CHANNEL),
+    ], density=density, sigma=sigma, gaps=gaps) + _shapes([
+        (ClassLabel.FLANGE, (6.0, 0.0, 0.0), _FLANGE),
+        (ClassLabel.VALVE, (7.0, 0.0, 0.0), _VALVE),
+    ], density=density, sigma=sigma)
+
+
+# Each profile builder returns (shapes, clutter, manifest without "profile").
+
+def _dense():
+    return _separated_lineup(25000.0, 0.0005), None, {
+        "expect_perfect": True,
+        "min_separation": 0.4,
+        "max_intra_gap": 0.03,
+    }
+
+
+def _sparse():
+    gaps = ((0.30, 0.42), (0.60, 0.72))  # two >4cm scan holes on 0.4-0.5m shapes
+    shapes = _separated_lineup(12000.0, 0.0005, gaps=gaps)
+    # the elbow arc is only ~0.19m long, so it needs a wider fraction to
+    # open a hole that exceeds the 4cm radius even on the bend's inside
+    shapes[2] = replace(shapes[2], gaps=((0.28, 0.65),))
+    return shapes, None, {
+        "expect_over_segmentation": True,
+        "gapped_instances": [i for i, s in enumerate(shapes) if s.gaps],
+        "min_gap_width": 0.4 * 0.12,
+    }
+
+
+def _gapped():
+    gaps = ((0.31, 0.38), (0.64, 0.71))  # two 3.5cm holes split 0.5m shapes in thirds
+    return _shapes([
+        (ClassLabel.CYLINDER, (0.0, 0.0, 0.0), {"radius": 0.04, "length": 0.5}),
+        (ClassLabel.CYLINDER, (1.0, 0.0, 0.0), {"radius": 0.025, "length": 0.5}, _X_AXIS),
+        (ClassLabel.IBEAM, (2.0, 0.0, 0.0), _IBEAM),
+        (ClassLabel.CHANNEL, (3.0, 0.0, 0.0), _CHANNEL),
+    ], density=25000.0, gaps=gaps), None, {
+        "gap_width": 0.035,
+        "expected_radius_selection": 0.04,
+    }
+
+
+def _cluttered():
+    return _shapes([
+        # same-class pair 2cm apart: expected to merge at the 4cm radius
+        (ClassLabel.CYLINDER, (0.0, 0.0, 0.0), {"radius": 0.04, "length": 0.5}),
+        (ClassLabel.CYLINDER, (0.10, 0.0, 0.0), {"radius": 0.04, "length": 0.5}),
+        (ClassLabel.VALVE, (1.0, 0.0, 0.0), _VALVE),
+        (ClassLabel.ANGLE, (2.0, 0.0, 0.0), _ANGLE),
+        (ClassLabel.CYLINDER, (3.0, 0.0, 0.0), {"radius": 0.03, "length": 0.5}),
+    ], density=20000.0), ClutterSpec(2500, (2.85, -0.15, -0.05), (3.15, 0.15, 0.55)), {
+        "expect_under_segmentation": True,
+        "merged_instances": [0, 1],
+        "pair_gap": 0.02,
+    }
+
+
+def _refinery_like():
+    pipe = {"radius": 0.02, "length": 0.6}
+    junction = {"radius": 0.05, "length": 0.4}
+    return _shapes([
+        # conduit bundle: three parallel runs with 2cm clearances
+        (ClassLabel.CYLINDER, (0.0, 0.0, 0.0), pipe),
+        (ClassLabel.CYLINDER, (0.06, 0.0, 0.0), pipe),
+        (ClassLabel.CYLINDER, (0.12, 0.0, 0.0), pipe),
+        # welded frame: two touching I-beams
+        (ClassLabel.IBEAM, (1.0, 0.0, 0.0), _IBEAM),
+        (ClassLabel.IBEAM, (1.0, 0.0, 0.5), _IBEAM, _Y_AXIS),
+        # pipe junction: coaxial cylinders fused end to end
+        (ClassLabel.CYLINDER, (2.0, 0.0, 0.0), junction),
+        (ClassLabel.CYLINDER, (2.0, 0.0, 0.4), junction),
+        # flange seated on a pipe end: classes differ, boundary splits them
+        (ClassLabel.CYLINDER, (3.0, 0.0, 0.0), {"radius": 0.04, "length": 0.4}),
+        (ClassLabel.FLANGE, (3.0, 0.0, 0.4), _FLANGE),
+        (ClassLabel.VALVE, (4.0, 0.0, 0.0), _VALVE),
+        (ClassLabel.ELBOW, (5.0, 0.0, 0.0),
+         {"bend_radius": 0.12, "tube_radius": 0.03, "sweep_deg": 180.0}),
+    ], density=30000.0), ClutterSpec(4000, (6.0, -0.3, -0.1), (7.0, 0.3, 0.7)), {
+        "expect_mixed": True,
+        "merged_groups": [[0, 1, 2], [3, 4], [5, 6]],
+        "split_by_boundary": [7, 8],
+    }
+
+
+_PROFILES = {"sparse": _sparse, "dense": _dense, "cluttered": _cluttered,
+             "refinery-like": _refinery_like, "gapped": _gapped}
+PROFILE_NAMES = tuple(_PROFILES)
 
 
 def make_benchmark_suite(profile: str, seed: int = 0) -> list[tuple[SceneSpec, dict]]:
     """Scenes plus machine-readable expectations for a named benchmark profile."""
-    if profile == "dense":
-        spec = SceneSpec(tuple(_separated_lineup(25000.0, 0.0005)), seed=seed,
-                         min_declared_gap=0.4)
-        manifest = {
-            "profile": profile,
-            "expect_perfect": True,
-            "min_separation": 0.4,
-            "max_intra_gap": 0.03,
-        }
-        return [(spec, manifest)]
-
-    if profile == "sparse":
-        gaps = ((0.30, 0.42), (0.60, 0.72))  # two >4cm scan holes on 0.4-0.5m shapes
-        shapes = _separated_lineup(12000.0, 0.0005, gaps=gaps)
-        # the elbow arc is only ~0.19m long, so it needs a wider fraction to
-        # open a hole that exceeds the 4cm radius even on the bend's inside
-        elbow = shapes[2]
-        shapes[2] = ShapeSpec(elbow.class_label, elbow.position, dict(elbow.dims),
-                              axis=elbow.axis, density=elbow.density, sigma=elbow.sigma,
-                              gaps=((0.28, 0.65),))
-        spec = SceneSpec(tuple(shapes), seed=seed, min_declared_gap=0.4)
-        manifest = {
-            "profile": profile,
-            "expect_over_segmentation": True,
-            "gapped_instances": [i for i, s in enumerate(shapes) if s.gaps],
-            "min_gap_width": 0.4 * 0.12,
-        }
-        return [(spec, manifest)]
-
-    if profile == "gapped":
-        gaps = ((0.31, 0.38), (0.64, 0.71))  # two 3.5cm holes split 0.5m shapes in thirds
-        mk = ShapeSpec
-        shapes = [
-            mk(ClassLabel.CYLINDER, (0.0, 0.0, 0.0), {"radius": 0.04, "length": 0.5},
-               density=25000.0, gaps=gaps),
-            mk(ClassLabel.CYLINDER, (1.0, 0.0, 0.0), {"radius": 0.025, "length": 0.5},
-               axis=(1.0, 0.0, 0.0), density=25000.0, gaps=gaps),
-            mk(ClassLabel.IBEAM, (2.0, 0.0, 0.0), {"depth": 0.2, "width": 0.1, "length": 0.5},
-               density=25000.0, gaps=gaps),
-            mk(ClassLabel.CHANNEL, (3.0, 0.0, 0.0), {"depth": 0.12, "width": 0.05, "length": 0.5},
-               density=25000.0, gaps=gaps),
-        ]
-        spec = SceneSpec(tuple(shapes), seed=seed, min_declared_gap=0.5)
-        manifest = {
-            "profile": profile,
-            "gap_width": 0.035,
-            "expected_radius_selection": 0.04,
-        }
-        return [(spec, manifest)]
-
-    if profile == "cluttered":
-        mk = ShapeSpec
-        shapes = [
-            # same-class pair 2cm apart: expected to merge at the 4cm radius
-            mk(ClassLabel.CYLINDER, (0.0, 0.0, 0.0), {"radius": 0.04, "length": 0.5},
-               density=20000.0),
-            mk(ClassLabel.CYLINDER, (0.10, 0.0, 0.0), {"radius": 0.04, "length": 0.5},
-               density=20000.0),
-            mk(ClassLabel.VALVE, (1.0, 0.0, 0.0),
-               {"body_radius": 0.06, "stem_radius": 0.015, "stem_length": 0.1,
-                "wheel_radius": 0.05, "wheel_tube_radius": 0.01}, density=20000.0),
-            mk(ClassLabel.ANGLE, (2.0, 0.0, 0.0), {"leg_a": 0.08, "leg_b": 0.08, "length": 0.5},
-               density=20000.0),
-            mk(ClassLabel.CYLINDER, (3.0, 0.0, 0.0), {"radius": 0.03, "length": 0.5},
-               density=20000.0),
-        ]
-        clutter = ClutterSpec(count=2500, box_min=(2.85, -0.15, -0.05),
-                              box_max=(3.15, 0.15, 0.55))
-        spec = SceneSpec(tuple(shapes), seed=seed, clutter=clutter, min_declared_gap=0.02)
-        manifest = {
-            "profile": profile,
-            "expect_under_segmentation": True,
-            "merged_instances": [0, 1],
-            "pair_gap": 0.02,
-        }
-        return [(spec, manifest)]
-
-    if profile == "refinery-like":
-        mk = ShapeSpec
-        d = 30000.0
-        shapes = [
-            # conduit bundle: three parallel runs with 2cm clearances
-            mk(ClassLabel.CYLINDER, (0.0, 0.0, 0.0), {"radius": 0.02, "length": 0.6}, density=d),
-            mk(ClassLabel.CYLINDER, (0.06, 0.0, 0.0), {"radius": 0.02, "length": 0.6}, density=d),
-            mk(ClassLabel.CYLINDER, (0.12, 0.0, 0.0), {"radius": 0.02, "length": 0.6}, density=d),
-            # welded frame: two touching I-beams
-            mk(ClassLabel.IBEAM, (1.0, 0.0, 0.0), {"depth": 0.2, "width": 0.1, "length": 0.5},
-               density=d),
-            mk(ClassLabel.IBEAM, (1.0, 0.0, 0.5), {"depth": 0.2, "width": 0.1, "length": 0.5},
-               axis=(0.0, 1.0, 0.0), density=d),
-            # pipe junction: coaxial cylinders fused end to end
-            mk(ClassLabel.CYLINDER, (2.0, 0.0, 0.0), {"radius": 0.05, "length": 0.4}, density=d),
-            mk(ClassLabel.CYLINDER, (2.0, 0.0, 0.4), {"radius": 0.05, "length": 0.4}, density=d),
-            # flange seated on a pipe end: classes differ, boundary splits them
-            mk(ClassLabel.CYLINDER, (3.0, 0.0, 0.0), {"radius": 0.04, "length": 0.4}, density=d),
-            mk(ClassLabel.FLANGE, (3.0, 0.0, 0.4),
-               {"outer_radius": 0.08, "bore_radius": 0.03,
-                "collar_radius": 0.04, "collar_length": 0.06}, density=d),
-            mk(ClassLabel.VALVE, (4.0, 0.0, 0.0),
-               {"body_radius": 0.06, "stem_radius": 0.015, "stem_length": 0.1,
-                "wheel_radius": 0.05, "wheel_tube_radius": 0.01}, density=d),
-            mk(ClassLabel.ELBOW, (5.0, 0.0, 0.0),
-               {"bend_radius": 0.12, "tube_radius": 0.03, "sweep_deg": 180.0}, density=d),
-        ]
-        clutter = ClutterSpec(count=4000, box_min=(6.0, -0.3, -0.1), box_max=(7.0, 0.3, 0.7))
-        spec = SceneSpec(tuple(shapes), seed=seed, clutter=clutter)
-        manifest = {
-            "profile": profile,
-            "expect_mixed": True,
-            "merged_groups": [[0, 1, 2], [3, 4], [5, 6]],
-            "split_by_boundary": [7, 8],
-        }
-        return [(spec, manifest)]
-
-    raise ValueError(f"unknown profile {profile!r}; known: {', '.join(PROFILE_NAMES)}")
+    if profile not in _PROFILES:
+        raise ValueError(f"unknown profile {profile!r}; known: {', '.join(PROFILE_NAMES)}")
+    shapes, clutter, manifest = _PROFILES[profile]()
+    return [(SceneSpec(tuple(shapes), seed=seed, clutter=clutter),
+             {"profile": profile, **manifest})]

@@ -71,11 +71,15 @@ def test_criterion_01_spatial_index_oracle():
             expect = np.nonzero(within[i])[0]
             got = index.radius_query(i, r)
             assert np.array_equal(got, expect)
+        # the cell grid's pair enumeration against the same matrix
+        pairs = index.pairs_within(r)
+        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        assert np.array_equal(pairs, np.argwhere(np.triu(within, 1)))
         checked += n
     elapsed = time.monotonic() - start
     assert elapsed < 30.0, f"spatial oracle took {elapsed:.1f}s"
-    _announce(f"PASS criterion 1: {checked} radius queries over 100 clouds match "
-              f"brute force exactly ({elapsed:.1f}s < 30s)")
+    _announce(f"PASS criterion 1: {checked} radius queries and the pair lists of 100 clouds "
+              f"match brute force exactly ({elapsed:.1f}s < 30s)")
 
 
 def test_criterion_02_segmentation_oracle():

@@ -185,7 +185,7 @@ def test_boundary_appends_flag_column(tmp_path):
     assert main(["segment", str(scene), str(seg)]) == 0
     assert main(["boundary", str(seg), str(out)]) == 0
     assert {len(line.split()) for line in out.read_text().splitlines()[1:]} == {7}
-    save_pts(load_pts(seg), plain, include_predictions=True)
+    save_pts(load_pts(seg), plain)
     assert _rows_without_flags(out) == plain.read_text().splitlines()
 
 

@@ -224,7 +224,7 @@ def test_roundtrip_with_predictions_and_noise(tmp_path):
     cloud = make_cloud([[0, 0, 0], [1, 0, 0], [2, 0, 0]], classes=[3, 3, 3],
                        gt=[0, 0, 1], pred=[0, NOISE, 1])
     p = tmp_path / "pred.pts"
-    save_pts(cloud, p, include_predictions=True)
+    save_pts(cloud, p)
     text = p.read_text().splitlines()
     assert text[0] == "cloi-pts v1 n=3"
     assert all(len(line.split()) == 6 for line in text[1:])
@@ -257,12 +257,6 @@ def test_save_without_predictions_writes_five_columns(tmp_path):
     p = tmp_path / "five.pts"
     save_pts(cloud, p)
     assert len(p.read_text().splitlines()[1].split()) == 5
-
-
-def test_save_predictions_requires_predictions(tmp_path):
-    cloud = make_cloud([[0, 0, 0]])
-    with pytest.raises(ValueError, match="no predictions"):
-        save_pts(cloud, tmp_path / "x.pts", include_predictions=True)
 
 
 # -- PLY importer -----------------------------------------------------------

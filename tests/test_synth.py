@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from cloiseg import (
     make_benchmark_suite,
     sample_shape,
 )
+from cloiseg.cli import main
+from cloiseg.synth import PROFILE_NAMES
 
 
 def _cyl(position=(0, 0, 0), radius=0.05, length=0.5, **kw):
@@ -153,6 +157,58 @@ def test_shape_spec_validation():
         sample_shape(_cyl(axis=(0, 0, 0)))
 
 
+# shapes that break a rule their sampler relies on: (class, dims, axis, message)
+BAD_SHAPES = {
+    "elbow-45-degrees": (ClassLabel.ELBOW,
+                         {"bend_radius": 0.1, "tube_radius": 0.03, "sweep_deg": 45.0},
+                         (0, 0, 1), "sweep_deg"),
+    "flange-bore-at-outer-radius": (ClassLabel.FLANGE,
+                                    {"outer_radius": 0.05, "bore_radius": 0.05,
+                                     "collar_radius": 0.04, "collar_length": 0.06},
+                                    (0, 0, 1), "bore_radius must be smaller"),
+    "valve-wheel-tube-at-wheel-radius": (ClassLabel.VALVE,
+                                         {"body_radius": 0.06, "stem_radius": 0.015,
+                                          "stem_length": 0.1, "wheel_radius": 0.02,
+                                          "wheel_tube_radius": 0.02},
+                                         (0, 0, 1), "wheel_tube_radius must be smaller"),
+    "cylinder-zero-axis": (ClassLabel.CYLINDER, {"radius": 0.05, "length": 0.5},
+                           (0, 0, 0), "axis"),
+    "cylinder-two-coordinate-axis": (ClassLabel.CYLINDER, {"radius": 0.05, "length": 0.5},
+                                     (0, 1), "3 coordinates"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_SHAPES)
+def test_shape_rules_are_checked_when_a_spec_is_built_or_read(name, tmp_path):
+    cls, dims, axis, message = BAD_SHAPES[name]
+    with pytest.raises(ValueError, match=message):
+        ShapeSpec(cls, (0, 0, 0), dims, axis=axis)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"seed": 1, "shapes": [
+        {"class": cls.name.lower(), "position": [0, 0, 0], "axis": list(axis), "dims": dims},
+    ]}))
+    with pytest.raises(ValueError, match=message):
+        SceneSpec.from_json(spec)
+    out = tmp_path / "scene.pts"
+    assert main(["synth", "--spec", str(spec), "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+
+
+def test_profile_shapes_never_share_a_dims_dict():
+    shapes = [s for p in PROFILE_NAMES for spec, _ in make_benchmark_suite(p) for s in spec.shapes]
+    assert len({id(s.dims) for s in shapes}) == len(shapes)
+    (spec, _), = make_benchmark_suite("refinery-like")
+    beam_a, beam_b = (s for s in spec.shapes if s.class_label is ClassLabel.IBEAM)
+    assert beam_a.dims == beam_b.dims
+
+
+def test_spec_json_with_min_declared_gap_still_loads(tmp_path):
+    spec = SceneSpec((_cyl(),), seed=3)
+    p = tmp_path / "old.json"
+    p.write_text(json.dumps({**spec.to_dict(), "min_declared_gap": 0.4}))
+    assert SceneSpec.from_json(p) == spec
+
+
 def test_scene_spec_json_roundtrip(tmp_path):
     spec = SceneSpec(
         (_cyl(sigma=0.001, gaps=((0.2, 0.3),)),
@@ -160,7 +216,6 @@ def test_scene_spec_json_roundtrip(tmp_path):
                    {"leg_a": 0.08, "leg_b": 0.06, "length": 0.4}, axis=(0, 1, 0))),
         seed=17,
         clutter=ClutterSpec(50, (5, 0, 0), (6, 1, 1)),
-        min_declared_gap=0.5,
     )
     p = tmp_path / "scene.json"
     spec.to_json(p)
