@@ -3,7 +3,8 @@
 Each profile's first scene (seed 101) is generated, then segmented, flagged
 three ways, scored and swept in every mode, all through ``cli.main`` in this
 process. The 1.1M-point criterion-10 scene is pinned by the digest of its
-positions, classes and ground truth. The digests of the scenes and of the outputs are compared with the
+positions, classes and ground truth, and by the digest of its CLOI-PTS text
+as ``save_pts`` writes it. The digests of the scenes and of the outputs are compared with the
 committed table ``golden_digests.json``: a moved scene digest means the
 input changed (``synth`` draws through ``np.sin`` and ``np.cos``, whose last
 bit may differ between platforms), a moved output digest alone means the
@@ -28,6 +29,7 @@ import tempfile
 from pathlib import Path
 
 from cloiseg.cli import main
+from cloiseg.model import save_pts
 from cloiseg.synth import PROFILE_NAMES, generate_scene
 from test_acceptance import _million_point_scene
 
@@ -89,6 +91,8 @@ def digests() -> dict[str, str]:
     scan = generate_scene(_million_point_scene())
     table["criterion-10/scene"] = _sha256(
         scan.positions.tobytes() + scan.class_labels.tobytes() + scan.gt_instance.tobytes())
+    save_pts(scan, "criterion-10-scene.pts")
+    table["criterion-10/scene-pts"] = _sha256(Path("criterion-10-scene.pts").read_bytes())
     return table
 
 
