@@ -274,12 +274,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check(args)
     except ValueError as exc:
-        print(f"cloiseg: error: {exc}", file=sys.stderr)
+        print(f"cloiseg {args.command}: error: {exc}", file=sys.stderr)
         return 1
     try:
         return _COMMANDS[args.command](args)
     except (PtsParseError, ValueError, OSError) as exc:
-        print(f"cloiseg: error: {exc}", file=sys.stderr)
+        print(f"cloiseg {args.command}: error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -9,6 +9,7 @@ instances are numbered 0..K-1 by ascending smallest member point index,
 from __future__ import annotations
 
 import copy
+import functools
 import os
 import re
 import secrets
@@ -311,17 +312,18 @@ def load_pts(path) -> LabeledPointCloud:
 
 
 @contextmanager
-def atomic_open(path, **open_kwargs):
-    """Open a text file for writing that appears at ``path`` only when complete.
+def atomic_open(path, *, binary: bool = False, **open_kwargs):
+    """Open a file for writing that appears at ``path`` only when complete.
 
-    Writes go to a temporary file beside ``path``, which replaces ``path`` when
-    the block exits normally; on an exception the temporary file is removed
-    and any earlier file at ``path`` is left as it was.
+    The file is a text file unless ``binary``. Writes go to a temporary file
+    beside ``path``, which replaces ``path`` when the block exits normally; on
+    an exception the temporary file is removed and any earlier file at
+    ``path`` is left as it was.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
     try:
-        with tmp.open("x", **open_kwargs) as f:
+        with tmp.open("xb" if binary else "x", **open_kwargs) as f:
             yield f
         os.replace(tmp, path)
     except BaseException:
@@ -329,23 +331,215 @@ def atomic_open(path, **open_kwargs):
         raise
 
 
+# ---------------------------------------------------------------------------
+# CLOI-PTS writer
+#
+# A coordinate is written as the text of Python's ``repr``: the shortest
+# digits that read back as the same double, positional while the decimal
+# point lies within (-4, 16] digits of the first one. The digits come from
+# Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020), which
+# picks the same ones as ``repr``, run here on whole numpy arrays. Each number
+# becomes a row of byte slots, 0 marking an empty one, and the text of a chunk
+# of rows is its slot matrix's nonzero bytes in order. Values outside that
+# range (below 1e-4, from 1e16, subnormal) take ``repr`` itself, and integers
+# beyond +-10**17 take ``str``.
+# ---------------------------------------------------------------------------
+
+#: Rows formatted and written at a time.
+_CHUNK_ROWS = 16384
+
+_U, _I = np.uint64, np.int64
+_POW10 = np.array([10 ** j for j in range(20)], dtype=_U)
+#: "0000" to "9999" in ASCII, four bytes each
+_QUADS = np.stack(np.meshgrid(*[np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)] * 4,
+                              indexing="ij"), axis=-1).view(np.uint32).ravel()
+#: _QUAD_MASKS[p][n]: 0xff on the last n digits of a field of p four-digit
+#: pieces, 0 on the others (a field holds at most 6 pieces)
+_LAST_DIGITS = np.where(np.arange(23, -1, -1) < np.arange(25)[:, None], 0xFF, 0).astype(np.uint8)
+_QUAD_MASKS = [np.ascontiguousarray(_LAST_DIGITS[:, 24 - 4 * p:]).view(np.uint32)
+               for p in range(7)]
+#: magnitudes written through Schubfach, and the biased exponents they span
+_FAST_LO, _FAST_HI = 1e-4, 1e16
+_BQ_LO, _BQ_HI = (int(np.float64(v).view(_U) >> _U(52)) for v in (_FAST_LO, _FAST_HI))
+_M32, _M52, _M63 = _U(2 ** 32 - 1), _U(2 ** 52 - 1), _U(2 ** 63 - 1)
+#: by the last three bits of vb = 4s + (vb & 3): is t = s + 1 nearer than s, ties to even?
+_ROUNDS_UP = np.array([False, False, False, True, False, False, True, True])
+
+
+@functools.cache
+def _schubfach_table() -> list[np.ndarray]:
+    """Per biased exponent of the fast range, for regular then irregular
+    spacing: ``k``, the shift of ``c`` to ``cb << h``, the offsets of the
+    interval's ends at that shift, and the 32-bit halves of ``g1`` and ``g0``.
+
+    ``10**-k`` is ``beta * 2**r`` with ``2**125 <= beta < 2**126`` and
+    ``g = floor(beta) + 1 = g1 * 2**63 + g0`` (Giulietti, section 9.8).
+    """
+    rows = []
+    for irregular in (False, True):
+        for bq in range(_BQ_LO, _BQ_HI + 1):
+            q = bq - 1075
+            k = (q * 661971961083 - (274743187321 if irregular else 0)) >> 41
+            log2_pow10 = (-k * 913124641741) >> 38  # floor(log2(10**-k)); k <= 0 here
+            h = q + log2_pow10 + 2
+            g = 10 ** -k * 2 ** (125 - log2_pow10) + 1
+            g1, g0 = g >> 63, g & (2 ** 63 - 1)
+            rows.append((k, h + 2, (1 if irregular else 2) << h, 2 << h,
+                         g1 >> 32, g1 & (2 ** 32 - 1), g0 >> 32, g0 & (2 ** 32 - 1)))
+    k, *rest = zip(*rows)
+    return [np.array(k, dtype=_I)] + [np.array(c, dtype=_U) for c in rest]
+
+
+def _mulhi(ah, al, bh, bl):
+    """The high 64 bits of ``a * b``, from the 32-bit halves of each."""
+    hl, lh = ah * bl, al * bh
+    carry = ((hl & _M32) + (lh & _M32) + ((al * bl) >> _U(32))) >> _U(32)
+    return ah * bh + (hl >> _U(32)) + (lh >> _U(32)) + carry
+
+
+def _rop(g1h, g1l, g0h, g0l, cp):
+    """Round to odd of ``g * cp / 2**127`` (Giulietti, section 9.9 and figure 8)."""
+    ch, cl = cp >> _U(32), cp & _M32
+    x1 = _mulhi(g0h, g0l, ch, cl)
+    y1 = _mulhi(g1h, g1l, ch, cl)
+    z = (((g1h << _U(32)) | g1l) * cp >> _U(1)) + x1
+    return (y1 + (z >> _U(63))) | (((z & _M63) + _M63) >> _U(63))
+
+
+def _shortest(mag: np.ndarray):
+    """``(f, e)`` with ``mag == f * 10**e`` to the shortest digits that read back
+    as ``mag``, the nearest of them, ``f`` without trailing zeros.
+
+    ``mag`` holds positive doubles of the fast range. This is Giulietti's
+    figure 7, whose ``s >= 100`` test always holds for normal values.
+    """
+    bits = mag.view(_U)
+    t = bits & _M52
+    row = (bits >> _U(52)).astype(np.intp) - _BQ_LO
+    row[t == _U(0)] += _BQ_HI - _BQ_LO + 1
+    k, shift, lower, upper, *g = (np.take(col, row) for col in _schubfach_table())
+    c = t | _U(2 ** 52)
+    odd = c & _U(1)
+    cp = c << shift
+    vb = _rop(*g, cp)
+    vbl = _rop(*g, cp - lower) + odd
+    vbr = _rop(*g, cp + upper) - odd
+    s = vb >> _U(2)
+    sp10 = s // _U(10) * _U(10)
+    upin = vbl <= sp10 << _U(2)
+    shorter = upin != ((sp10 + _U(10)) << _U(2) <= vbr)
+    uin, win = vbl <= s << _U(2), (s << _U(2)) + _U(4) <= vbr
+    f = s + np.where(uin != win, win, np.take(_ROUNDS_UP, (vb & _U(7)).view(_I))).astype(_U)
+    f = np.where(shorter, sp10 + np.where(upin, _U(0), _U(10)), f)
+    e = k
+    zero = f % _U(10) == _U(0)  # strip trailing zeros, 16 + 8 + 4 + 2 + 1 at most
+    if zero.any():
+        fz, ez = f[zero], e[zero]
+        for p in (16, 8, 4, 2, 1):
+            cut = fz % _POW10[p] == _U(0)
+            fz = np.where(cut, fz // _POW10[p], fz)
+            ez += cut * _I(p)
+        f[zero], e[zero] = fz, ez
+    return f, e
+
+
+def _ndigits(n: np.ndarray) -> np.ndarray:
+    """Decimal digits of each of ``n`` (uint64), 1 for 0."""
+    return np.maximum(np.searchsorted(_POW10, n, side="right"), 1)
+
+
+def _ascii(n: np.ndarray, width: int, count: np.ndarray) -> np.ndarray:
+    """The last ``width`` digits of each of ``n`` in ASCII, those from the
+    ``count``-th on the right zeroed: shape ``n.shape + (width,)``."""
+    pieces = -(-width // 4)
+    quads = np.empty((pieces,) + n.shape, np.uint32)
+    n = n.view(_I)  # below 10**17, and int64 indices take on every numpy
+    for piece in quads[::-1]:
+        n, low = np.divmod(n, _I(10000))
+        np.take(_QUADS, low, out=piece, mode="clip")
+    quads = np.moveaxis(quads, 0, -1).copy()
+    quads &= np.take(_QUAD_MASKS[pieces], count, axis=0, mode="clip")
+    return quads.view(np.uint8)[..., 4 * pieces - width:]
+
+
+def _slots(neg, whole, frac=None, nfrac=None, *, other, text) -> np.ndarray:
+    """Byte slots ``sign | whole digits | '.' | fraction digits | separator``.
+
+    ``whole`` (uint64) is written without leading zeros; ``frac`` (uint64),
+    if given, to its last ``nfrac`` digits after a '.'. Where ``other``, the
+    slots hold instead the next of ``text``. The separator slot is left 0.
+    """
+    nwhole = _ndigits(whole)
+    widths = [int(nwhole.max(initial=1))]
+    if frac is not None:
+        widths.append(int(nfrac.max(initial=1)))
+    tokens = np.array(text, dtype="S") if text else np.zeros(0, "S1")
+    widths[-1] += max(tokens.itemsize - sum(widths) - len(widths), 0)
+    out = np.zeros(neg.shape + (sum(widths) + len(widths) + 1,), np.uint8)
+    out[..., 0] = neg * np.uint8(ord("-"))
+    out[..., 1:1 + widths[0]] = _ascii(whole, widths[0], nwhole)
+    if frac is not None:
+        out[..., 1 + widths[0]] = ord(".")
+        out[..., 2 + widths[0]:-1] = _ascii(frac, widths[1], nfrac)
+    if text:
+        out[other] = 0
+        out[other, :tokens.itemsize] = tokens.view(np.uint8).reshape(len(tokens), -1)
+    return out
+
+
+def _float_slots(x: np.ndarray) -> np.ndarray:
+    """Slots of each float of ``x``, written as ``repr`` writes it."""
+    mag = np.abs(x)
+    fast = (mag >= _FAST_LO) & (mag < _FAST_HI)
+    other = ~fast & (x != 0)
+    f, e = _shortest(np.where(fast, mag, 1.0))
+    f[~fast], e[~fast] = 0, 0
+    nfrac = np.maximum(-e, 1)
+    digits = f * np.take(_POW10, e + nfrac)  # f * 10**e with nfrac fraction digits
+    whole = digits // np.take(_POW10, np.minimum(nfrac, 19))
+    return _slots(np.signbit(x), whole, digits, nfrac, other=other,
+                  text=[repr(v) for v in x[other].tolist()])
+
+
+def _int_slots(v: np.ndarray) -> np.ndarray:
+    """Slots of each int64 of ``v``, written as ``str`` writes it."""
+    other = (v <= _I(-10 ** 17)) | (v >= _I(10 ** 17))
+    mag = np.abs(np.where(other, _I(0), v)).astype(_U)
+    return _slots(v < 0, mag, other=other, text=[str(i) for i in v[other].tolist()])
+
+
+def _pts_rows(positions: np.ndarray, ints: list[np.ndarray]) -> np.ndarray:
+    """The CLOI-PTS text of some rows as uint8: ``positions`` (rows, 3), then
+    the integer columns ``ints``."""
+    blocks = [_float_slots(positions), _int_slots(np.stack(ints, axis=1))]
+    for block in blocks:
+        block[..., -1] = ord(" ")
+    blocks[-1][:, -1, -1] = ord("\n")
+    m = np.concatenate([b.reshape(len(b), -1) for b in blocks], axis=1)
+    return m[m != 0]
+
+
 def save_pts(cloud: LabeledPointCloud, path, *, extra_column=None) -> None:
-    """Write a cloud as CLOI-PTS. Coordinates round-trip bit-exactly via repr.
+    """Write a cloud as CLOI-PTS. Coordinates round-trip bit-exactly via repr's text.
 
     The prediction column is written exactly when the cloud has one.
     ``extra_column`` (one integer per point) is appended to every row; such
-    files are analysis output, not re-loadable CLOI-PTS.
+    files are analysis output, not re-loadable CLOI-PTS. The text is formatted
+    and written one chunk of rows at a time.
     """
     ints = [cloud.class_labels, cloud.gt_instance]
     if cloud.has_predictions:
         ints.append(cloud.pred_instance)
     if extra_column is not None:
-        ints.append(np.asarray(extra_column, dtype=np.int64))
-    columns = ([map(repr, c.tolist()) for c in cloud.positions.T]
-               + [map(str, c.tolist()) for c in ints])
-    with atomic_open(path, encoding="utf-8") as f:
-        f.write(f"cloi-pts v1 n={len(cloud)}\n")
-        f.writelines(" ".join(row) + "\n" for row in zip(*columns))
+        extra = np.asarray(extra_column, dtype=np.int64)
+        if extra.shape != (len(cloud),):
+            raise ValueError("extra_column must have one entry per point")
+        ints.append(extra)
+    with atomic_open(path, binary=True) as f:
+        f.write(b"cloi-pts v1 n=%d\n" % len(cloud))
+        for start in range(0, len(cloud), _CHUNK_ROWS):
+            rows = slice(start, start + _CHUNK_ROWS)
+            f.write(_pts_rows(cloud.positions[rows], [c[rows] for c in ints]))
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,8 @@ class ShapeSpec:
             raise ValueError("position and axis must have 3 coordinates")
         if not self.density > 0:
             raise ValueError(f"density must be positive, got {self.density}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be non-negative, got {self.sigma}")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and non-negative, got {self.sigma}")
         required, nested, _ = _SHAPES[cls]
         missing = [k for k in required if k not in self.dims]
         if missing:
@@ -61,6 +61,10 @@ class ShapeSpec:
         for k in required:
             if not self.dims[k] > 0:
                 raise ValueError(f"dimension {k} must be positive, got {self.dims[k]}")
+        # every sampler's point and ring counts lie below density * 100 * (sum of dims)**2
+        if not math.isfinite(self.density * 100.0 * sum(self.dims[k] for k in required) ** 2):
+            raise ValueError(f"{cls.name.lower()} dims and density give a point count that is "
+                             "not finite")
         if nested and self.dims[nested[0]] >= self.dims[nested[1]]:
             raise ValueError(f"{cls.name.lower()} {nested[0]} must be smaller than {nested[1]}")
         if cls is ClassLabel.ELBOW and self.dims["sweep_deg"] not in (90.0, 180.0):
@@ -89,9 +93,26 @@ class ShapeSpec:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ShapeSpec":
-        optional = {k: d[k] for k in ("axis", "density", "sigma", "gaps") if k in d}
-        return cls(ClassLabel[d["class"].upper()], d["position"], d["dims"], **optional)
+    def from_dict(cls, d: dict, where: str = "shape") -> "ShapeSpec":
+        """The shape of a JSON object; a value of the wrong JSON type raises
+        ``ValueError`` naming its path below ``where``."""
+        name = _field(_object(d, where), "class", where)
+        if not isinstance(name, str) or name.upper() not in ClassLabel.__members__:
+            raise ValueError(f"{where}.class must be one of "
+                             f"{', '.join(c.name.lower() for c in ClassLabel)}, got {name!r}")
+        dims = _object(_field(d, "dims", where), f"{where}.dims")
+        optional = {k: _number(d[k], f"{where}.{k}") for k in ("density", "sigma") if k in d}
+        if "axis" in d:
+            optional["axis"] = _numbers(d["axis"], f"{where}.axis")
+        if "gaps" in d:
+            optional["gaps"] = tuple(_numbers(g, f"{where}.gaps[{i}]", 2)
+                                     for i, g in enumerate(_list(d["gaps"], f"{where}.gaps")))
+        position = _numbers(_field(d, "position", where), f"{where}.position")
+        dims = {k: _number(v, f"{where}.dims.{k}") for k, v in dims.items()}
+        try:
+            return cls(ClassLabel[name.upper()], position, dims, **optional)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -113,7 +134,10 @@ class ClutterSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ClutterSpec":
-        return cls(int(d["count"]), tuple(d["box_min"]), tuple(d["box_max"]))
+        """The clutter of a JSON object, checked as :meth:`ShapeSpec.from_dict` checks."""
+        count = _integer(_field(_object(d, "clutter"), "count", "clutter"), "clutter.count")
+        return cls(count, *(_numbers(_field(d, k, "clutter"), f"clutter.{k}", 3)
+                            for k in ("box_min", "box_max")))
 
 
 @dataclass(frozen=True)
@@ -136,15 +160,62 @@ class SceneSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SceneSpec":
+        """The spec of a JSON object; a value of the wrong JSON type raises
+        ``ValueError`` naming its path, such as ``shapes[0].dims.radius``."""
+        shapes = _list(_field(_object(d, "spec"), "shapes", ""), "shapes")
+        seed = _integer(d.get("seed", 0), "seed")
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
         return cls(
-            shapes=tuple(ShapeSpec.from_dict(s) for s in d["shapes"]),
-            seed=int(d.get("seed", 0)),
+            shapes=tuple(ShapeSpec.from_dict(s, f"shapes[{i}]") for i, s in enumerate(shapes)),
+            seed=seed,
             clutter=None if d.get("clutter") is None else ClutterSpec.from_dict(d["clutter"]),
         )
 
     @classmethod
     def from_json(cls, path) -> "SceneSpec":
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+
+
+# JSON readers: each returns the value at a JSON path or raises ValueError naming it.
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be an object, got {type(value).__name__}")
+    return value
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{where} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _field(d: dict, key: str, where: str):
+    if key not in d:
+        raise ValueError(f"{where + '.' if where else ''}{key} is missing")
+    return d[key]
+
+
+def _integer(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{where} must be an integer, got {type(value).__name__}")
+    return value
+
+
+def _number(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where} must be a number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{where} is out of the float range") from None
+
+
+def _numbers(value, where: str, count: int | None = None) -> tuple[float, ...]:
+    if len(_list(value, where)) != (count or len(value)):
+        raise ValueError(f"{where} must hold {count} numbers, got {len(value)}")
+    return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(value))
 
 
 def _rng(seed: int, index: int) -> np.random.Generator:

@@ -194,3 +194,22 @@ def brute_greedy_match(
         taken_g.add(g)
         pairs.append((p, g, v))
     return pairs
+
+
+def pts_text(cloud, extra_column=None) -> bytes:
+    """The CLOI-PTS text of a cloud, the definition of what ``save_pts`` writes.
+
+    A header ``cloi-pts v1 n=<N>``, then one line per point: ``repr`` of each
+    coordinate, then ``str`` of the class code, the ground-truth instance id,
+    the predicted instance id when the cloud has predictions, and the extra
+    column when one is given, separated by single spaces.
+    """
+    ints = [cloud.class_labels, cloud.gt_instance]
+    if cloud.pred_instance is not None:
+        ints.append(cloud.pred_instance)
+    if extra_column is not None:
+        ints.append(np.asarray(extra_column, dtype=np.int64))
+    columns = ([map(repr, c.tolist()) for c in cloud.positions.T]
+               + [map(str, c.tolist()) for c in ints])
+    rows = "".join(" ".join(row) + "\n" for row in zip(*columns))
+    return f"cloi-pts v1 n={len(cloud)}\n{rows}".encode()

@@ -272,8 +272,9 @@ def test_failed_write_keeps_earlier_output(tmp_path, monkeypatch, writer):
     out = tmp_path / "out"
     out.write_text("earlier output\n")
     if writer == "save_pts":
-        # the 100th coordinate fails: the header and 33 rows are already out
-        monkeypatch.setattr(cloiseg.model, "repr", _fail_on_call(100, repr), raising=False)
+        # the second chunk fails: the header and the first 10 rows are already out
+        monkeypatch.setattr(cloiseg.model, "_CHUNK_ROWS", 10)
+        monkeypatch.setattr(cloiseg.model, "_pts_rows", _fail_on_call(2, cloiseg.model._pts_rows))
         with pytest.raises(_WriteFailed):
             save_pts(load_pts(scene), out)
     elif writer == "write_csv":

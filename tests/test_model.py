@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloiseg import (
     NOISE,
@@ -16,6 +20,7 @@ from cloiseg import (
 import cloiseg.model
 from cloiseg.model import CloudValueError, _plain_table
 from conftest import clouds_equal, make_cloud
+from oracles import pts_text
 
 
 def test_cloud_rejects_non_finite_positions():
@@ -257,6 +262,94 @@ def test_save_without_predictions_writes_five_columns(tmp_path):
     p = tmp_path / "five.pts"
     save_pts(cloud, p)
     assert len(p.read_text().splitlines()[1].split()) == 5
+
+
+# -- PTS writer against the repr oracle -------------------------------------
+
+def _mismatches(got: bytes, want: bytes) -> list:
+    """The first differing (got, want) tokens of two PTS texts."""
+    return [(a, b) for a, b in zip(got.split(), want.split()) if a != b][:5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_every_finite_double_is_written_as_repr(x):
+    # hypothesis draws subnormals, +-0 and the extremes too
+    cloud = make_cloud([[x, -x, x / 7]], classes=[2])
+    row = cloiseg.model._pts_rows(cloud.positions, [cloud.class_labels, cloud.gt_instance])
+    assert row.tobytes() == pts_text(cloud).split(b"\n", 1)[1]
+
+
+def _neighbours(x: np.ndarray, ulps: int) -> np.ndarray:
+    """``x`` with its neighbours up to ``ulps`` steps away on both sides."""
+    out, up, down = [x], x, x
+    for _ in range(ulps):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return np.concatenate(out)
+
+
+def test_a_million_coordinates_are_written_as_repr(tmp_path):
+    rng = np.random.default_rng(20261019)
+    bits = rng.integers(0, 2**64, 500_000, dtype=np.uint64)
+    # the bit patterns with binary exponents around [1e-4, 1e16), the range
+    # whose digits are computed in numpy; outside it repr writes each value,
+    # slowly for large exponents, so fewer of those are drawn
+    exponents = rng.integers(1000, 1086, bits.size).astype(np.uint64) << np.uint64(52)
+    near = (bits & np.uint64(0x800F_FFFF_FFFF_FFFF)) | exponents
+    powers = np.array([10.0 ** k for k in range(-20, 23)] + [2.0 ** k for k in range(-40, 60)])
+    x = np.concatenate([
+        bits[:20_000].view(np.float64), near.view(np.float64),
+        _neighbours(powers, 1), _neighbours(np.array([1e-4, 1e16]), 4),
+        [round(v, d) for v, d in zip(rng.uniform(-100, 100, 30_000).tolist(),
+                                     rng.integers(0, 12, 30_000).tolist())],
+    ])
+    x = x[np.isfinite(x)]
+    x = np.concatenate([x, -x])
+    cloud = make_cloud(x[: x.size // 3 * 3].reshape(-1, 3))
+    p = tmp_path / "bulk.pts"
+    save_pts(cloud, p)
+    got, want = p.read_bytes(), pts_text(cloud)
+    assert got == want, _mismatches(got, want)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_small_clouds_match_the_oracle_across_chunks(tmp_path, monkeypatch, n):
+    monkeypatch.setattr(cloiseg.model, "_CHUNK_ROWS", 3)
+    rng = np.random.default_rng(n)
+    pos = np.reshape([round(v, d) for v, d in zip(rng.uniform(-5, 5, 3 * n).tolist(),
+                                                  rng.integers(0, 17, 3 * n).tolist())], (n, 3))
+    pos[::4, 1] = 0.0
+    pos[1::5, 2] = 3e-7
+    classes = rng.integers(0, 8, n)
+    extra = rng.integers(-(2**63), 2**63 - 1, n, endpoint=True)
+    extra[:1], extra[1:2] = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    p = tmp_path / "small.pts"
+    for cloud in (make_cloud(pos, classes, classes),
+                  make_cloud(pos, classes, classes, pred=np.arange(n) - 1)):
+        for extra_column in (None, extra):
+            save_pts(cloud, p, extra_column=extra_column)
+            assert p.read_bytes() == pts_text(cloud, extra_column)
+
+
+def test_extra_column_of_the_wrong_length_is_rejected(tmp_path):
+    with pytest.raises(ValueError, match="one entry per point"):
+        save_pts(make_cloud(np.zeros((3, 3))), tmp_path / "x.pts", extra_column=[1, 0])
+    assert not (tmp_path / "x.pts").exists()
+
+
+def test_writer_memory_does_not_grow_with_the_cloud(tmp_path):
+    rng = np.random.default_rng(4)
+    peaks = []
+    for n in (150_000, 600_000):
+        cloud = make_cloud(rng.uniform(-20, 20, (n, 3)), rng.integers(0, 8, n))
+        tracemalloc.start()
+        try:
+            save_pts(cloud, tmp_path / "big.pts")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.3 * peaks[0], peaks
 
 
 # -- PLY importer -----------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -192,6 +193,59 @@ def test_shape_rules_are_checked_when_a_spec_is_built_or_read(name, tmp_path):
     out = tmp_path / "scene.pts"
     assert main(["synth", "--spec", str(spec), "--out", str(out), "--quiet"]) == 2
     assert not out.exists()
+
+
+_CYLINDER = {"class": "cylinder", "position": [0, 0, 0], "dims": {"radius": 0.05, "length": 0.5}}
+_CLUTTER = {"count": 10, "box_min": [1, 0, 0], "box_max": [2, 1, 1]}
+
+#: spec JSON that breaks a type rule -> the start of its error message
+MALFORMED_SPECS = {
+    "unknown class": ({"shapes": [{**_CYLINDER, "class": "BANANA"}]}, r"shapes\[0\]\.class "),
+    "list-valued class": ({"shapes": [{**_CYLINDER, "class": ["cylinder"]}]},
+                          r"shapes\[0\]\.class "),
+    "list-valued dim": ({"shapes": [{**_CYLINDER, "dims": {"radius": [0.05], "length": 0.5}}]},
+                        r"shapes\[0\]\.dims\.radius must be a number"),
+    "boolean dims": ({"shapes": [{**_CYLINDER, "dims": True}]},
+                     r"shapes\[0\]\.dims must be an object"),
+    "list-valued seed": ({"seed": [1], "shapes": [_CYLINDER]}, "seed must be an integer"),
+    "negative seed": ({"seed": -1, "shapes": [_CYLINDER]}, "seed must be non-negative"),
+    "dims of 1e308": ({"shapes": [{**_CYLINDER, "dims": {"radius": 1e308, "length": 1e308}}]},
+                      r"shapes\[0\]: cylinder dims and density give a point count that is "
+                      "not finite"),
+    "shapes an object": ({"shapes": {"0": _CYLINDER}}, "shapes must be a list"),
+    "missing position": ({"shapes": [{"class": "cylinder", "dims": _CYLINDER["dims"]}]},
+                         r"shapes\[0\]\.position is missing"),
+    "two-coordinate position": ({"shapes": [{**_CYLINDER, "position": [0, 0]}]},
+                                r"shapes\[0\]: position and axis must have 3 coordinates"),
+    "string gap": ({"shapes": [{**_CYLINDER, "gaps": [[0.1, "0.2"]]}]},
+                   r"shapes\[0\]\.gaps\[0\]\[1\] must be a number"),
+    "two-coordinate clutter box": ({"shapes": [_CYLINDER],
+                                    "clutter": {**_CLUTTER, "box_max": [2, 1]}},
+                                   r"clutter\.box_max must hold 3 numbers"),
+    "fractional clutter count": ({"shapes": [_CYLINDER], "clutter": {**_CLUTTER, "count": 2.5}},
+                                 r"clutter\.count must be an integer"),
+    "a list, not a spec": ([_CYLINDER], "spec must be an object"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_SPECS)
+def test_malformed_spec_json_exits_two_naming_its_path(name, tmp_path, capsys):
+    spec, message = MALFORMED_SPECS[name]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "scene.pts"
+    assert main(["synth", "--spec", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"^cloiseg synth: error: " + message, err, re.MULTILINE), err
+    assert not out.exists()
+
+
+def test_well_formed_spec_json_still_loads(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"seed": 4, "shapes": [{**_CYLINDER, "gaps": [[0.1, 0.2]]}],
+                                "clutter": _CLUTTER}))
+    assert SceneSpec.from_json(path) == SceneSpec(
+        (_cyl(gaps=((0.1, 0.2),)),), seed=4, clutter=ClutterSpec(10, (1, 0, 0), (2, 1, 1)))
 
 
 def test_profile_shapes_never_share_a_dims_dict():
