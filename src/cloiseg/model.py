@@ -353,11 +353,11 @@ _POW10 = np.array([10 ** j for j in range(20)], dtype=_U)
 #: "0000" to "9999" in ASCII, four bytes each
 _QUADS = np.stack(np.meshgrid(*[np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)] * 4,
                               indexing="ij"), axis=-1).view(np.uint32).ravel()
-#: _QUAD_MASKS[p][n]: 0xff on the last n digits of a field of p four-digit
+#: _QUAD_MASKS[p - 1][n]: 0xff on the last n digits of a field of p four-digit
 #: pieces, 0 on the others (a field holds at most 6 pieces)
 _LAST_DIGITS = np.where(np.arange(23, -1, -1) < np.arange(25)[:, None], 0xFF, 0).astype(np.uint8)
 _QUAD_MASKS = [np.ascontiguousarray(_LAST_DIGITS[:, 24 - 4 * p:]).view(np.uint32)
-               for p in range(7)]
+               for p in range(1, 7)]
 #: magnitudes written through Schubfach, and the biased exponents they span
 _FAST_LO, _FAST_HI = 1e-4, 1e16
 _BQ_LO, _BQ_HI = (int(np.float64(v).view(_U) >> _U(52)) for v in (_FAST_LO, _FAST_HI))
@@ -458,7 +458,7 @@ def _ascii(n: np.ndarray, width: int, count: np.ndarray) -> np.ndarray:
         n, low = np.divmod(n, _I(10000))
         np.take(_QUADS, low, out=piece, mode="clip")
     quads = np.moveaxis(quads, 0, -1).copy()
-    quads &= np.take(_QUAD_MASKS[pieces], count, axis=0, mode="clip")
+    quads &= np.take(_QUAD_MASKS[pieces - 1], count, axis=0, mode="clip")
     return quads.view(np.uint8)[..., 4 * pieces - width:]
 
 
