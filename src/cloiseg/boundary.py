@@ -4,7 +4,8 @@ A point is a class boundary when some neighbor within the boundary radius
 carries a different class label, that is, when its nearest point of another
 class lies within the radius; ground-truth instance boundaries are the
 analogous notion over instance ids. Both are pure functions of the cloud and
-independent of evaluation order.
+independent of evaluation order. Ground-truth flags come from the pairs of
+``spatial.mixed_pairs``, which holds their cut.
 
 Class flags skip what cannot be a boundary. ``block_reduce`` ORs the class
 bits over each point's block of cells (side >= the radius), which holds every
@@ -12,9 +13,7 @@ point within the radius. A point whose block holds no other class has no
 other-class neighbour, so it is not queried; and a point's other-class
 neighbours all have its class in their blocks, so each class is queried
 against an index over only such points of the other classes. Both cuts drop
-only points no query could return, so the flags are exact. Ground-truth
-flags take the same cut with the smallest and largest id of each block:
-only points whose block holds two ids enumerate pairs.
+only points no query could return, so the flags are exact.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import LabeledPointCloud
-from .spatial import RadiusIndex, block_reduce
+from .spatial import RadiusIndex, block_reduce, mixed_pairs
 
 
 @dataclass(frozen=True)
@@ -79,23 +78,15 @@ def detect_class_boundaries(
     return _class_boundary_flags(cloud.positions, cloud.class_labels, params.radius)
 
 
-def detect_gt_instance_boundaries(
-    cloud: LabeledPointCloud, index: RadiusIndex, params: BoundaryParams
-) -> np.ndarray:
+def detect_gt_instance_boundaries(cloud: LabeledPointCloud, params: BoundaryParams) -> np.ndarray:
     """Boolean flag per point: has a neighbor of a different ground-truth instance.
 
-    Only points whose block holds two ground-truth ids (``block_reduce`` of
-    ``[id, -id]``) can have such a neighbour, and it is one of them too, so
-    pairs are enumerated over those points alone.
+    Each such pair of points is among the ``mixed_pairs`` of the ids.
     """
-    if len(index) != len(cloud):
-        raise ValueError("index was not built over this cloud")
     if len(cloud) and not cloud.has_ground_truth:
         raise ValueError("ground-truth instance ids are required on every point")
     gt = cloud.gt_instance
-    bounds = block_reduce(cloud.positions, params.radius, np.stack([gt, -gt], axis=1), np.minimum)
-    mixed = np.flatnonzero(bounds[:, 0] != -bounds[:, 1])
-    pairs = mixed[RadiusIndex(cloud.positions[mixed]).pairs_within(params.radius)]
+    pairs = mixed_pairs(cloud.positions, gt, params.radius)
     flags = np.zeros(len(cloud), dtype=bool)
     flags[pairs[gt[pairs[:, 0]] != gt[pairs[:, 1]]].ravel()] = True
     return flags

@@ -27,7 +27,6 @@ from .model import (
     save_pts,
 )
 from .segmentation import InstanceLabeling, SegmentationParams, segment
-from .spatial import RadiusIndex
 from .sweep import (
     DEFAULT_EPSILONS,
     DEFAULT_MUS,
@@ -174,8 +173,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_boundary(args: argparse.Namespace) -> int:
     cloud = _load(args.input)
     if args.gt_flag:
-        flags = detect_gt_instance_boundaries(cloud, RadiusIndex(cloud.positions),
-                                              BoundaryParams(args.boundary_radius))
+        flags = detect_gt_instance_boundaries(cloud, BoundaryParams(args.boundary_radius))
     else:
         flags = _class_boundary_flags(cloud.positions, cloud.class_labels, args.boundary_radius)
     save_pts(cloud, args.output, extra_column=flags)

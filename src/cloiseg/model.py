@@ -23,7 +23,7 @@ import numpy as np
 
 NOISE = -1
 
-_HEADER_RE = re.compile(r"^cloi-pts v1 n=(\d+)\s*$")
+_HEADER_RE = re.compile(r"^cloi-pts v1 n=(\d+)\s*$", re.ASCII)
 
 
 class ClassLabel(IntEnum):
@@ -159,16 +159,6 @@ class LabeledPointCloud:
     def has_predictions(self) -> bool:
         return self.pred_instance is not None
 
-    def take(self, indices) -> "LabeledPointCloud":
-        """New cloud of the given points, in the given order."""
-        idx = np.asarray(indices, dtype=np.int64)
-        return LabeledPointCloud(
-            self.positions[idx],
-            self.class_labels[idx],
-            self.gt_instance[idx],
-            None if self.pred_instance is None else self.pred_instance[idx],
-        )
-
     def with_predictions(self, assignment: np.ndarray) -> "LabeledPointCloud":
         """This cloud with a new prediction column; only that column is checked."""
         cloud = copy.copy(self)
@@ -179,12 +169,6 @@ class LabeledPointCloud:
 # ---------------------------------------------------------------------------
 # CLOI-PTS text format
 # ---------------------------------------------------------------------------
-
-def _validate_table(path, table: np.ndarray, first_data_line: int) -> LabeledPointCloud:
-    """Build a cloud from a parsed (N, 5|6) float table, reporting bad lines."""
-    return _cloud_from_columns(path, _table_columns(path, table, first_data_line),
-                               first_data_line)
-
 
 def _table_columns(path, table: np.ndarray, first_data_line: int):
     """``(positions, label columns)`` of a parsed (N, 5|6) float table, as new arrays.
@@ -296,19 +280,21 @@ def load_pts(path) -> LabeledPointCloud:
         n = int(m.group(1))
         start = f.tell()
         table = _plain_table(path, f, header, n)
-        if table is not None:
-            columns = _table_columns(path, table, first_data_line=2)
-            del table  # freed before the cloud checks, which peak over the columns
-            return _cloud_from_columns(path, columns, first_data_line=2)
-        f.seek(start)
-        body = f.read()
-    lines = body.splitlines()
-    # trailing blank lines are tolerated; interior blanks are errors
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if len(lines) != n:
-        raise PtsParseError(path, None, f"header declares n={n} but file has {len(lines)} data lines")
-    return _validate_table(path, _parse_table(path, lines, 2), first_data_line=2)
+        if table is None:
+            f.seek(start)
+            lines = f.read().splitlines()
+    if table is None:
+        # trailing blank lines are tolerated; interior blanks are errors
+        while lines and not lines[-1].strip():
+            lines.pop()
+        if len(lines) != n:
+            raise PtsParseError(path, None,
+                                f"header declares n={n} but file has {len(lines)} data lines")
+        table = _parse_table(path, lines, 2)
+        del lines
+    columns = _table_columns(path, table, first_data_line=2)
+    del table  # freed before the cloud checks, which peak over the columns
+    return _cloud_from_columns(path, columns, first_data_line=2)
 
 
 @contextmanager
@@ -569,12 +555,14 @@ def load_ply(path) -> LabeledPointCloud:
             if not tokens or tokens[0] == "comment":
                 continue
             if tokens[0] == "element":
-                if len(tokens) != 3 or not tokens[2].isdigit():
+                if len(tokens) != 3 or not (tokens[2].isascii() and tokens[2].isdigit()):
                     raise PtsParseError(path, line_no, f"bad element line {line.strip()!r}")
                 in_vertex = tokens[1] == "vertex"
                 if in_vertex:
                     n_vertex = int(tokens[2])
             elif tokens[0] == "property" and in_vertex:
+                if tokens[-1] in properties:
+                    raise PtsParseError(path, line_no, f"repeated vertex property {tokens[-1]!r}")
                 properties.append(tokens[-1])
             elif tokens[0] == "end_header":
                 break
@@ -595,7 +583,7 @@ def load_ply(path) -> LabeledPointCloud:
     table = np.column_stack([col["x"], col["y"], col["z"],
                              col.get("class", np.zeros(n_vertex)),
                              col.get("instance", np.full(n_vertex, float(NOISE)))])
-    return _validate_table(path, table, first_data_line)
+    return _cloud_from_columns(path, _table_columns(path, table, first_data_line), first_data_line)
 
 
 # ---------------------------------------------------------------------------

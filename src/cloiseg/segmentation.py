@@ -20,10 +20,10 @@ Links are labelled in two rounds (``_epsilon_labels``). Clique cells come
 first: cells of side below epsilon / sqrt(3), in which every two points
 are epsilon-pairs, each labelled with its smallest point and joined to its
 face neighbours after an exact test (``clique_cells``). Then one join step
-(``_join_mixed``): a point whose block of cells (side >= epsilon,
-``block_reduce``) holds a single label has all its epsilon-neighbours in
-its own component, so its epsilon-pairs cannot join two components. Only
-the other, mixed, points get an index, and their epsilon-pairs join the
+(``_join_mixed``): a point whose block of cells (side >= epsilon) holds a
+single label has all its epsilon-neighbours in its own component, so its
+epsilon-pairs cannot join two components. Only the other, mixed, points
+get an index (``spatial.mixed_pairs``), and their epsilon-pairs join the
 labels. The labels stay smallest members, so the result equals one
 labelling of every epsilon-pair.
 
@@ -42,7 +42,7 @@ import numpy as np
 
 from .boundary import _class_boundary_flags
 from .model import NOISE, LabeledPointCloud, _group_instances
-from .spatial import RadiusIndex, _checked_positions, block_reduce, clique_cells
+from .spatial import RadiusIndex, _checked_positions, clique_cells, mixed_pairs
 
 #: Boundary points farther than this multiple of epsilon from every
 #: same-class instance become NOISE instead of joining one.
@@ -180,16 +180,12 @@ def _join_mixed(positions: np.ndarray, labels: np.ndarray, radius: float) -> np.
     """Smallest-member ``labels`` after joining every two components with a pair within ``radius``.
 
     ``labels`` are smallest members, ids into ``positions``, of components
-    that lie each within one component of the pairs within ``radius``. A
-    point whose block (``block_reduce``, side >= radius) holds its own label
-    only has every neighbour in its own component, so only the mixed points,
-    whose block holds two labels, enumerate pairs.
+    that lie each within one component of the pairs within ``radius``, so
+    only the pairs of ``mixed_pairs`` can join two of them.
     """
-    bounds = block_reduce(positions, radius, np.stack([labels, -labels], axis=1), np.minimum)
-    mixed = np.flatnonzero(bounds[:, 0] != -bounds[:, 1])
-    if mixed.size:
-        pairs = RadiusIndex(positions[mixed]).pairs_within(radius)
-        labels = _component_labels(labels.size, labels[mixed[pairs]])[labels]
+    pairs = mixed_pairs(positions, labels, radius)
+    if pairs.size:
+        labels = _component_labels(labels.size, labels[pairs])[labels]
     return labels
 
 

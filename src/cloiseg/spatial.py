@@ -11,8 +11,9 @@ radius of a point lies in its block: the 3x3x3 cells around its own (and
 each in the other's). Pair and nearest queries test each point of a block
 exactly; ``block_reduce`` reduces a per-point value over each point's block,
 so that where a block's values show that no neighbour can matter, a
-neighbour query may skip the point. Boundary flags, links and the radius
-sweep use it so (see ``boundary`` and ``segmentation``). Rounding cannot
+neighbour query may skip the point. Boundary flags use it so (see
+``boundary``); ``mixed_pairs`` enumerates only the pairs that can join two
+ids, for links, the radius sweep and ground-truth flags. Rounding cannot
 break the rule: a cell is wider than the radius by a relative
 ``CELL_MARGIN``, which covers the rounding of the distance rule, plus
 ``CELL_ULPS`` units in the last place of the cloud's largest extent, which
@@ -54,12 +55,6 @@ NEAREST_TIERS = (1 / 3, 1.0)
 # block's own column in key order
 _BLOCK = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
 _FORWARD = ((0, 1), (1, -1), (1, 0), (1, 1))
-
-
-def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise squared distances, summed as ``dx*dx + dy*dy + dz*dz``."""
-    dx, dy, dz = (a - b).T
-    return dx * dx + dy * dy + dz * dz
 
 
 def _squared_gaps(a: np.ndarray, i: np.ndarray, b: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -242,15 +237,6 @@ class RadiusIndex:
     def __len__(self) -> int:
         return self.positions.shape[0]
 
-    def radius_query(self, i: int, r: float) -> np.ndarray:
-        """Indices j != i with d(P_i, P_j) <= r, sorted ascending."""
-        if not 0 <= i < len(self):
-            raise ValueError(f"point index {i} out of range for index of size {len(self)}")
-        if not r > 0:
-            raise ValueError(f"radius must be positive, got {r}")
-        found = np.flatnonzero(_squared_distances(self.positions, self.positions[i]) <= r * r)
-        return found[found != i]
-
     def pairs_within(self, r: float) -> np.ndarray:
         """All index pairs (i, j), i < j, with d(P_i, P_j) <= r; shape (M, 2).
 
@@ -368,6 +354,22 @@ def block_reduce(positions: np.ndarray, radius: float, values: np.ndarray, ufunc
     cell_of = np.empty(positions.shape[0], dtype=np.int64)
     cell_of[grid.order] = np.repeat(itself, np.diff(grid.starts))
     return block[cell_of]
+
+
+def mixed_pairs(positions: np.ndarray, ids: np.ndarray, radius: float) -> np.ndarray:
+    """The pairs within ``radius`` among the points whose block holds two ``ids``; shape (M, 2).
+
+    Only such a mixed point (``block_reduce`` of ``[id, -id]`` with
+    ``np.minimum``) can have a neighbour of another id, and that neighbour is
+    mixed too; so the pairs, as rows of ``positions``, hold every pair of two
+    ids within ``radius``, beside some pairs of one id. Where no point is
+    mixed there are no pairs and no index is built.
+    """
+    bounds = block_reduce(positions, radius, np.stack([ids, -ids], axis=1), np.minimum)
+    mixed = np.flatnonzero(bounds[:, 0] != -bounds[:, 1])
+    if mixed.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    return mixed[RadiusIndex(positions[mixed]).pairs_within(radius)]
 
 
 def clique_cells(positions: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:

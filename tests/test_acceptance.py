@@ -56,30 +56,40 @@ def benchmark_scenes():
 
 def test_criterion_01_spatial_index_oracle():
     rng = np.random.default_rng(1001)
+    probe_rng = np.random.default_rng(1011)
     start = time.monotonic()
     checked = 0
     for _ in range(100):
         n = int(rng.integers(1, 2001))
-        positions = rng.random((n, 3)) * rng.uniform(0.3, 2.0)
+        scale = rng.uniform(0.3, 2.0)
+        positions = rng.random((n, 3)) * scale
         r = float(rng.uniform(0.02, 0.25))
         index = RadiusIndex(positions)
         diff = positions[:, None, :] - positions[None, :, :]
         d2 = np.einsum("ijk,ijk->ij", diff, diff)
         within = d2 <= r * r
         np.fill_diagonal(within, False)
-        for i in range(n):
-            expect = np.nonzero(within[i])[0]
-            got = index.radius_query(i, r)
-            assert np.array_equal(got, expect)
-        # the cell grid's pair enumeration against the same matrix
+        # the cell grid's pair enumeration against the same matrix, each pair
+        # once, and read both ways as every point's neighbour list
         pairs = index.pairs_within(r)
         pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
         assert np.array_equal(pairs, np.argwhere(np.triu(within, 1)))
+        both = np.vstack([pairs, pairs[:, ::-1]])
+        assert np.array_equal(both[np.lexsort((both[:, 1], both[:, 0]))], np.argwhere(within))
+        # the nearest points within r of probes anywhere in the cloud's box
+        probes = probe_rng.random((20, 3)) * scale
+        rows, nearest = index.nearest_within(probes, r)
+        diff = probes[:, None, :] - positions[None, :, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        best = d2.min(axis=1, keepdims=True)
+        assert np.array_equal(np.stack([rows, nearest], axis=1),
+                              np.argwhere((d2 == best) & (best <= r * r)))
         checked += n
     elapsed = time.monotonic() - start
     assert elapsed < 30.0, f"spatial oracle took {elapsed:.1f}s"
-    _announce(f"PASS criterion 1: {checked} radius queries and the pair lists of 100 clouds "
-              f"match brute force exactly ({elapsed:.1f}s < 30s)")
+    _announce(f"PASS criterion 1: the neighbour lists of {checked} points, the pair lists of "
+              f"100 clouds and the nearest points of 2000 probes match brute force exactly "
+              f"({elapsed:.1f}s < 30s)")
 
 
 def test_criterion_02_segmentation_oracle():

@@ -56,8 +56,8 @@ def test_isolated_point_is_interior():
 
 def test_gt_boundaries_single_instance(rng):
     pos = rng.random((100, 3)) * 0.1
-    cloud, index = _indexed(make_cloud(pos, classes=3, gt=np.zeros(100, dtype=int)))
-    flags = detect_gt_instance_boundaries(cloud, index, BoundaryParams(0.04))
+    cloud = make_cloud(pos, classes=3, gt=np.zeros(100, dtype=int))
+    flags = detect_gt_instance_boundaries(cloud, BoundaryParams(0.04))
     assert not flags.any()
 
 
@@ -67,8 +67,8 @@ def test_gt_boundaries_two_close_instances():
     b[:, 0] += (a[:, 0].max() - b[:, 0].min()) + 0.02
     pos = np.vstack([a, b])
     gt = np.repeat([0, 1], 64)
-    cloud, index = _indexed(make_cloud(pos, classes=3, gt=gt))
-    flags = detect_gt_instance_boundaries(cloud, index, BoundaryParams(0.04))
+    cloud = make_cloud(pos, classes=3, gt=gt)
+    flags = detect_gt_instance_boundaries(cloud, BoundaryParams(0.04))
     brute = brute_class_boundaries(pos, gt, 0.04)  # same definition over gt ids
     assert np.array_equal(flags, brute)
     assert flags[:64].any() and flags[64:].any()
@@ -80,15 +80,14 @@ def test_gt_boundaries_two_close_instances():
 def test_gt_boundaries_far_instances():
     a = grid_blob((0, 0, 0), 27, spacing=0.01)
     b = grid_blob((0.5, 0, 0), 27, spacing=0.01)
-    cloud, index = _indexed(make_cloud(np.vstack([a, b]), classes=3, gt=np.repeat([0, 1], 27)))
-    flags = detect_gt_instance_boundaries(cloud, index, BoundaryParams(0.04))
+    cloud = make_cloud(np.vstack([a, b]), classes=3, gt=np.repeat([0, 1], 27))
+    flags = detect_gt_instance_boundaries(cloud, BoundaryParams(0.04))
     assert not flags.any()
 
 
 def test_gt_boundaries_require_ground_truth():
-    cloud, index = _indexed(make_cloud([[0, 0, 0]]))
     with pytest.raises(ValueError):
-        detect_gt_instance_boundaries(cloud, index, BoundaryParams(0.04))
+        detect_gt_instance_boundaries(make_cloud([[0, 0, 0]]), BoundaryParams(0.04))
 
 
 def test_boundary_stats_all_interior():

@@ -219,8 +219,7 @@ def test_gt_boundaries_at_exactly_the_radius(shift):
     gt = np.round((pos[:, 0] - pos[:, 0].min()) / EPS).astype(int) // 2
     cloud = make_cloud(pos, classes, gt)
     for r in (EPS, CLIQUE, 2 * EPS):
-        flags = detect_gt_instance_boundaries(cloud, RadiusIndex(cloud.positions),
-                                              BoundaryParams(r))
+        flags = detect_gt_instance_boundaries(cloud, BoundaryParams(r))
         assert flags.tolist() == brute_class_boundaries(pos, gt, r).tolist()
         # the instances' slabs lie one lattice step apart, which the shift
         # rounds to either side of epsilon

@@ -339,6 +339,30 @@ def test_ply_value_errors_name_the_line(tmp_path, capsys):
         assert f"{ply}:{line}: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, text, line, message", [
+    # '²' passes str.isdigit but not int()
+    ("sup.ply", "ply\nformat ascii 1.0\nelement vertex ²\nproperty float x\n"
+                "property float y\nproperty float z\nend_header\n1 2 3\n1 2 3\n",
+     3, "bad element line 'element vertex ²'"),
+    # int() reads an Arabic-Indic one as 1, and \d matches it
+    ("arabic.ply", "ply\nformat ascii 1.0\nelement vertex ١\nproperty float x\n"
+                   "property float y\nproperty float z\nend_header\n1 2 3\n",
+     3, "bad element line 'element vertex ١'"),
+    ("arabic.pts", "cloi-pts v1 n=١\n0 0 0 1 0\n", 1, "bad header 'cloi-pts v1 n=١'"),
+    # a repeated property would read the row 1 2 3 4 as the point (2, 3, 4)
+    ("twice.ply", "ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\n"
+                  "property float x\nproperty float y\nproperty float z\nend_header\n1 2 3 4\n",
+     5, "repeated vertex property 'x'"),
+], ids=["superscript-count", "arabic-count", "arabic-pts-count", "repeated-property"])
+def test_header_digits_and_properties_are_read_strictly(tmp_path, capsys, name, text, line,
+                                                        message):
+    path, out = tmp_path / name, tmp_path / "out.pts"
+    path.write_text(text, encoding="utf-8")
+    assert main(["segment", str(path), str(out)]) == 2
+    assert capsys.readouterr().err == f"cloiseg segment: error: {path}:{line}: {message}\n"
+    assert not out.exists()
+
+
 def test_eval_prediction_errors_name_the_line(tmp_path, capsys):
     gt = tmp_path / "g.pts"
     gt.write_text("cloi-pts v1 n=2\n0 0 0 1 0\n1 0 0 3 1\n")

@@ -23,6 +23,7 @@ from cloiseg import (
 )
 import cloiseg.boundary
 import cloiseg.segmentation
+import cloiseg.spatial
 from cloiseg.segmentation import _component_labels
 from conftest import grid_blob, make_cloud
 from oracles import (
@@ -455,7 +456,7 @@ def test_permutation_equivariance(rng):
     params = SegmentationParams(epsilon=0.05, mu=2)
     base = segment(cloud, params)
     perm = rng.permutation(300)
-    shuffled = cloud.take(perm)
+    shuffled = make_cloud(cloud.positions[perm], cloud.class_labels[perm])
     other = segment(shuffled, params)
     orig_sets = {frozenset(m.tolist()) for m in base.instances}
     back_sets = {frozenset(perm[m].tolist()) for m in other.instances}
@@ -596,6 +597,7 @@ def test_one_interior_tree_per_class_serves_links_and_reattachment(monkeypatch):
 
     monkeypatch.setattr(cloiseg.segmentation, "RadiusIndex", CountingIndex)
     monkeypatch.setattr(cloiseg.boundary, "RadiusIndex", CountingIndex)
+    monkeypatch.setattr(cloiseg.spatial, "RadiusIndex", CountingIndex)
     pos = np.vstack([grid_blob((0, 0, 0), 64), grid_blob((0.05, 0, 0), 64),
                      grid_blob((0.5, 0, 0), 64)])
     classes = np.repeat([1, 2, 3], 64)

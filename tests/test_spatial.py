@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cloiseg.spatial
-from cloiseg import RadiusIndex, segment_single_object
+from cloiseg import RadiusIndex, connected_components, segment_single_object
 from conftest import grid_blob
 from oracles import brute_cell_neighbours, brute_nearest_within, brute_radius_neighbors
 
@@ -17,37 +17,49 @@ def test_empty_index():
     assert index.pairs_within(1.0).shape == (0, 2)
 
 
+def _neighbours(pairs: np.ndarray, i: int) -> np.ndarray:
+    """The points paired with ``i``, sorted ascending."""
+    return np.sort(np.concatenate([pairs[pairs[:, 0] == i, 1], pairs[pairs[:, 1] == i, 0]]))
+
+
 def test_single_point_excludes_self():
-    index = RadiusIndex(np.array([[1.0, 2.0, 3.0]]))
-    assert index.radius_query(0, 10.0).size == 0
+    # a point is never its own pair; a copy of it is
+    point = np.array([[1.0, 2.0, 3.0]])
+    assert RadiusIndex(point).pairs_within(10.0).shape == (0, 2)
+    assert RadiusIndex(np.vstack([point, point])).pairs_within(10.0).tolist() == [[0, 1]]
 
 
 def test_two_points_three_cm_apart():
     index = RadiusIndex(np.array([[0, 0, 0], [0.03, 0, 0]]))
-    assert index.radius_query(0, 0.04).tolist() == [1]
-    assert index.radius_query(1, 0.04).tolist() == [0]
+    assert index.pairs_within(0.04).tolist() == [[0, 1]]
+    rows, nearest = RadiusIndex(index.positions[1:]).nearest_within(index.positions[:1], 0.04)
+    assert (rows.tolist(), nearest.tolist()) == ([0], [0])
 
 
 def test_two_points_five_cm_apart():
     index = RadiusIndex(np.array([[0, 0, 0], [0.05, 0, 0]]))
-    assert index.radius_query(0, 0.04).size == 0
-    assert index.radius_query(1, 0.04).size == 0
+    assert index.pairs_within(0.04).shape == (0, 2)
+    rows, _ = RadiusIndex(index.positions[1:]).nearest_within(index.positions[:1], 0.04)
+    assert rows.size == 0
 
 
 def test_boundary_distance_is_included():
     index = RadiusIndex(np.array([[0, 0, 0], [0.04, 0, 0]]))
-    assert index.radius_query(0, 0.04).tolist() == [1]
-    assert index.pairs_within(0.04).shape == (1, 2)
+    assert index.pairs_within(0.04).tolist() == [[0, 1]]
+    rows, _ = RadiusIndex(index.positions[1:]).nearest_within(index.positions[:1], 0.04)
+    assert rows.tolist() == [0]
 
 
 def test_argument_errors():
     index = RadiusIndex(np.array([[0, 0, 0]]))
-    with pytest.raises(ValueError):
-        index.radius_query(1, 0.1)
-    with pytest.raises(ValueError):
-        index.radius_query(-1, 0.1)
-    with pytest.raises(ValueError):
-        index.radius_query(0, 0.0)
+    for r in (0.0, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            index.pairs_within(r)
+        with pytest.raises(ValueError, match="cap must be positive"):
+            index.nearest_within(np.zeros((1, 3)), r)
+    for subset in ([1], [-1]):
+        with pytest.raises(ValueError, match="subset index out of range"):
+            connected_components(index, 0.1, subset=subset)
     with pytest.raises(ValueError):
         RadiusIndex(np.array([[0, 0, np.inf]]))
 
@@ -68,31 +80,42 @@ def test_wrong_shaped_or_non_finite_points_are_rejected(points, message, query):
 
 
 def test_queries_match_brute_force_on_random_probes(rng):
+    # each probe point's pairs are its brute-force neighbours; and the rest of
+    # the cloud's nearest points to it are the oracle's
     positions = rng.random((1000, 3))
     index = RadiusIndex(positions)
     for _ in range(50):
         i = int(rng.integers(1000))
         r = float(rng.uniform(0.01, 0.3))
-        got = index.radius_query(i, r)
-        expect = brute_radius_neighbors(positions, i, r)
-        assert np.array_equal(got, np.sort(expect))
+        got = _neighbours(index.pairs_within(r), i)
+        assert np.array_equal(got, brute_radius_neighbors(positions, i, r))
+        rest = np.delete(positions, i, axis=0)
+        rows, nearest = RadiusIndex(rest).nearest_within(positions[i:i + 1], r)
+        want = brute_nearest_within(rest, positions[i:i + 1], r)
+        assert list(zip(rows.tolist(), nearest.tolist())) == want
 
 
 def test_query_results_sorted(rng):
+    # pairs are listed smaller point first, each once; nearest points by row, then point
     positions = rng.random((300, 3))
-    index = RadiusIndex(positions)
-    out = index.radius_query(7, 0.5)
-    assert np.array_equal(out, np.sort(out))
+    pairs = RadiusIndex(positions).pairs_within(0.5)
+    assert (pairs[:, 0] < pairs[:, 1]).all()
+    assert np.unique(pairs, axis=0).shape == pairs.shape
+    lattice = np.round(positions * 4) / 4  # many exact ties
+    rows, nearest = RadiusIndex(lattice).nearest_within(lattice[::7] + 0.125, 0.5)
+    assert rows.size > np.unique(rows).size
+    assert np.array_equal(np.lexsort((nearest, rows)), np.arange(rows.size))
 
 
 def test_symmetry(rng):
+    # the pair set does not depend on the order of the points
     positions = rng.random((400, 3))
-    index = RadiusIndex(positions)
-    for _ in range(30):
-        i = int(rng.integers(400))
-        r = float(rng.uniform(0.02, 0.2))
-        for j in index.radius_query(i, r):
-            assert i in index.radius_query(int(j), r)
+    perm = rng.permutation(400)
+    for r in rng.uniform(0.02, 0.2, 5):
+        pairs = RadiusIndex(positions).pairs_within(r)
+        moved = perm[RadiusIndex(positions[perm]).pairs_within(r)]
+        assert len(pairs) == len(moved)
+        assert {frozenset(p) for p in pairs.tolist()} == {frozenset(p) for p in moved.tolist()}
 
 
 def test_pairs_within_matches_brute_force(rng):
