@@ -1,9 +1,12 @@
 """Core data model and file I/O for class-labeled industrial point clouds.
 
-A cloud is stored columnar (numpy arrays), one array per attribute.
-Instance ids are kept in canonical form:
-instances are numbered 0..K-1 by ascending smallest member point index,
-``NOISE`` (-1) marks unassigned/absent.
+A cloud is stored columnar (numpy arrays), one array per attribute. Instance
+ids are kept in canonical form: instances are numbered 0..K-1 by ascending
+smallest member point index, ``NOISE`` (-1) marks unassigned/absent.
+
+A CLOI-PTS or PLY point row holds only ASCII digits, ``+-.eE``, the letters of
+nan/inf/infinity, spaces and tabs; lines end in ``\n``, ``\r\n`` or ``\r``.
+Every reader error names its ``path:line``; a wrong row count names the path.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from contextlib import contextmanager
 from enum import IntEnum
 from itertools import islice
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NoReturn
 
 import numpy as np
 
@@ -196,102 +199,96 @@ def _cloud_from_columns(path, columns, first_data_line: int) -> LabeledPointClou
         raise PtsParseError(path, first_data_line + exc.index, exc.reason) from None
 
 
-def _parse_table(path, lines: list[str], first_data_line: int, widths=(5, 6)) -> np.ndarray:
-    """Parse ``lines`` into a float table with one of ``widths`` columns.
+#: A row's bytes: a number's, the letters of nan/inf/infinity, blanks, line ends.
+#: With no other byte no line is a comment, and numpy reads numbers as float does.
+_ROW_BYTES = b"0123456789+-.eEnNaAiIfFtTyY \t\r\n"
+_LINE_END = re.compile(rb"\r\n?|\n")
 
-    A fast bulk parse is tried first; on any failure a line-by-line pass
-    pinpoints the malformed line.
-    """
-    if not lines:
-        return np.empty((0, widths[0]))
-    try:
-        table = np.loadtxt(lines, dtype=np.float64, ndmin=2)
-        if table.shape[0] == len(lines) and table.shape[1] in widths:
-            return table
-    except ValueError:
-        pass
-    rows = []
-    ncol = None
-    for offset, line in enumerate(lines):
-        line_no = first_data_line + offset
-        tokens = line.split()
-        if not tokens:
-            raise PtsParseError(path, line_no, "blank line in point data")
-        if ncol is None:
-            if len(tokens) not in widths:
-                expected = " or ".join(map(str, widths))
+
+def _line_ends(data: bytes) -> int:
+    return data.count(b"\n") + (data.count(b"\r") - data.count(b"\r\n") if b"\r" in data else 0)
+
+
+def _read_rows(path: Path, f, start: int, first_line: int, n: int, widths, declared: str,
+               limit: int | None = None, block_size: int = 1 << 20) -> np.ndarray:
+    """The (n, width) float table of the rows from byte ``start``, line
+    ``first_line``, of ``path`` (the rest of the file, which blank lines may end,
+    or the next ``limit`` lines), read by a scan of their bytes in blocks, then
+    one ``np.loadtxt`` over the text ``f`` at ``start``. Holding no list of lines,
+    the load peaks at about twice the table. Other rows go to :func:`_row_error`."""
+    lines = ends = 0
+    with path.open("rb") as raw:
+        raw.seek(start)
+        while ends != limit and (block := raw.read(block_size)):
+            if block.endswith(b"\r"):
+                block += raw.read(1)  # no CRLF is split between blocks
+            k = _line_ends(block)
+            if limit is not None and ends + k >= limit:  # cut after the limit-th line
+                cut = next(islice(_LINE_END.finditer(block), limit - ends - 1, None))
+                block, k = block[:cut.end()], limit - ends
+            if block.translate(None, _ROW_BYTES):
+                lines = None
+                break
+            if text := block.rstrip(b" \t\r\n"):
+                lines = ends + _line_ends(text) + 1
+            ends += k
+    if lines == n:
+        try:
+            rows = f if limit is None else islice(f, n)
+            table = np.loadtxt(rows, dtype=np.float64, ndmin=2) if n else np.empty((0, widths[0]))
+            if table.shape[0] == n and table.shape[1] in widths:
+                return table
+        except ValueError:
+            pass
+    _row_error(path, first_line, limit, widths, declared)
+
+
+def _row_error(path: Path, first_line: int, limit: int | None, widths,
+               declared: str) -> NoReturn:
+    """Raise the first fault of the rows of :func:`_read_rows`, walking them line by
+    line: a byte not in ``_ROW_BYTES``, an interior blank line, a row of the wrong
+    width or an unparseable number, at its line; else the header's wrong count."""
+    rows, blank, ncol = 0, None, None
+    with path.open("r", encoding="utf-8", errors="surrogateescape", newline="") as f:
+        stop = None if limit is None else first_line - 1 + limit
+        for line_no, line in islice(enumerate(f, 1), first_line - 1, stop):
+            if not line.strip(" \t\r\n"):
+                blank = blank or line_no
+                if limit is None:  # blank lines may end a file
+                    continue
+            if blank:
+                raise PtsParseError(path, blank, "blank line in point data")
+            _check_bytes(path, line_no, line, _ROW_BYTES)
+            tokens = line.split()
+            ncol = ncol or (len(tokens) if len(tokens) in widths else None)
+            if len(tokens) != ncol:
+                expected = ncol or " or ".join(map(str, widths))
                 raise PtsParseError(path, line_no,
                                     f"expected {expected} columns, got {len(tokens)}")
-            ncol = len(tokens)
-        elif len(tokens) != ncol:
-            raise PtsParseError(path, line_no,
-                                f"expected {ncol} columns, got {len(tokens)}")
-        try:
-            rows.append([float(t) for t in tokens])
-        except ValueError:
-            raise PtsParseError(path, line_no, f"unparseable number in {tokens!r}") from None
-    return np.array(rows, dtype=np.float64)
+            try:
+                [float(t) for t in tokens]
+            except ValueError:
+                raise PtsParseError(path, line_no, f"unparseable number in {tokens!r}") from None
+            rows = line_no - first_line + 1
+    raise PtsParseError(path, None, f"header declares {declared} but file has {rows} data lines")
 
 
-#: The bytes of a plain point table. With no other byte, a newline is the only
-#: line break and no line is a comment or holds a word such as ``nan``.
-_PLAIN_BYTES = b"0123456789+-.eE \t\n"
-
-
-def _plain_table(path: Path, f, header: str, n: int, block_size: int = 1 << 20):
-    """The table parsed straight from the text stream ``f``, or None to parse a list of lines.
-
-    A load that holds no list of its lines peaks at about twice the size of
-    the table. This path is taken only where it gives what the list parse would:
-    the header and body are read as the same bytes, the body is plain, its
-    lines up to the last non-blank one number n (a scan in blocks), and the
-    parse yields n rows of one width, so that no blank line was skipped.
-    """
-    if n == 0:
-        return None
-    with path.open("rb") as raw:
-        if raw.readline() != header.encode("utf-8"):
-            return None
-        lines = newlines = 0
-        for block in iter(lambda: raw.read(block_size), b""):
-            if block.translate(None, _PLAIN_BYTES):
-                return None
-            text = block.rstrip(b" \t\n")
-            if text:
-                lines = newlines + text.count(b"\n") + 1
-            newlines += block.count(b"\n")
-    if lines != n:
-        return None
-    try:
-        table = np.loadtxt(f, dtype=np.float64, ndmin=2)
-    except ValueError:
-        return None
-    return table if table.shape[0] == n and table.shape[1] in (5, 6) else None
+def _check_bytes(path: Path, line_no: int, line: str, allowed: bytes) -> None:
+    """Raise at ``line_no`` if the bytes of ``line`` hold one not in ``allowed``."""
+    bad = line.encode("utf-8", "surrogateescape").translate(None, allowed)
+    if bad:
+        raise PtsParseError(path, line_no, f"unexpected byte 0x{bad[0]:02x}")
 
 
 def load_pts(path) -> LabeledPointCloud:
     """Load a CLOI-PTS file (header ``cloi-pts v1 n=<N>`` + one line per point)."""
     path = Path(path)
-    with path.open("r", encoding="utf-8") as f:
+    with path.open("r", encoding="utf-8", errors="surrogateescape", newline="") as f:
         header = f.readline()
         m = _HEADER_RE.match(header)
         if not m:
             raise PtsParseError(path, 1, f"bad header {header.rstrip()!r}")
-        n = int(m.group(1))
-        start = f.tell()
-        table = _plain_table(path, f, header, n)
-        if table is None:
-            f.seek(start)
-            lines = f.read().splitlines()
-    if table is None:
-        # trailing blank lines are tolerated; interior blanks are errors
-        while lines and not lines[-1].strip():
-            lines.pop()
-        if len(lines) != n:
-            raise PtsParseError(path, None,
-                                f"header declares n={n} but file has {len(lines)} data lines")
-        table = _parse_table(path, lines, 2)
-        del lines
+        table = _read_rows(path, f, len(header), 2, int(m[1]), (5, 6), f"n={m[1]}")
     columns = _table_columns(path, table, first_data_line=2)
     del table  # freed before the cloud checks, which peak over the columns
     return _cloud_from_columns(path, columns, first_data_line=2)
@@ -539,47 +536,44 @@ def load_ply(path) -> LabeledPointCloud:
     a missing instance is NOISE.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8") as f:
-        if f.readline().strip() != "ply":
+    with path.open("r", encoding="utf-8", errors="surrogateescape", newline="") as f:
+        header = [f.readline(), f.readline()]
+        if header[0].strip() != "ply":
             raise PtsParseError(path, 1, "not a PLY file")
-        fmt = f.readline().strip()
-        if fmt != "format ascii 1.0":
-            raise PtsParseError(path, 2, f"only ASCII PLY is supported, got {fmt!r}")
-        n_vertex = None
-        properties: list[str] = []
-        in_vertex = False
-        line_no = 2
+        if header[1].strip() != "format ascii 1.0":
+            raise PtsParseError(path, 2, f"only ASCII PLY is supported, got {header[1].strip()!r}")
+        n_vertex, properties, in_vertex = None, [], False
         for line in f:
-            line_no += 1
+            header.append(line)
             tokens = line.split()
             if not tokens or tokens[0] == "comment":
                 continue
             if tokens[0] == "element":
                 if len(tokens) != 3 or not (tokens[2].isascii() and tokens[2].isdigit()):
-                    raise PtsParseError(path, line_no, f"bad element line {line.strip()!r}")
+                    raise PtsParseError(path, len(header), f"bad element line {line.strip()!r}")
                 in_vertex = tokens[1] == "vertex"
                 if in_vertex:
                     n_vertex = int(tokens[2])
             elif tokens[0] == "property" and in_vertex:
                 if tokens[-1] in properties:
-                    raise PtsParseError(path, line_no, f"repeated vertex property {tokens[-1]!r}")
+                    raise PtsParseError(path, len(header),
+                                        f"repeated vertex property {tokens[-1]!r}")
                 properties.append(tokens[-1])
             elif tokens[0] == "end_header":
                 break
         else:
-            raise PtsParseError(path, line_no, "missing end_header")
+            raise PtsParseError(path, len(header), "missing end_header")
+        for line_no, line in enumerate(header, 1):
+            _check_bytes(path, line_no, line, bytes(range(128)))
         if n_vertex is None:
-            raise PtsParseError(path, line_no, "missing vertex element")
+            raise PtsParseError(path, len(header), "missing vertex element")
         for req in ("x", "y", "z"):
             if req not in properties:
-                raise PtsParseError(path, line_no, f"missing vertex property {req!r}")
-        lines = list(islice(f, n_vertex))
-    if len(lines) != n_vertex:
-        raise PtsParseError(path, None,
-                            f"header declares {n_vertex} vertices but file has {len(lines)}")
-    first_data_line = line_no + 1
-    data = _parse_table(path, lines, first_data_line, widths=(len(properties),))
-    col = {name: data[:, i] for i, name in enumerate(properties)}
+                raise PtsParseError(path, len(header), f"missing vertex property {req!r}")
+        first_data_line = len(header) + 1
+        data = _read_rows(path, f, sum(map(len, header)), first_data_line, n_vertex,
+                          (len(properties),), f"{n_vertex} vertices", n_vertex)
+    col = dict(zip(properties, data.T))
     table = np.column_stack([col["x"], col["y"], col["z"],
                              col.get("class", np.zeros(n_vertex)),
                              col.get("instance", np.full(n_vertex, float(NOISE)))])

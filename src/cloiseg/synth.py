@@ -174,7 +174,12 @@ class SceneSpec:
 
     @classmethod
     def from_json(cls, path) -> "SceneSpec":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        """The spec of a JSON file; one that is not UTF-8 JSON raises ValueError naming it."""
+        try:
+            d = json.loads(Path(path).read_bytes().decode("utf-8"))
+        except ValueError as exc:  # a UnicodeDecodeError or a JSONDecodeError
+            raise ValueError(f"{path}: {exc}") from None
+        return cls.from_dict(d)
 
 
 # JSON readers: each returns the value at a JSON path or raises ValueError naming it.

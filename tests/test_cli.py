@@ -24,6 +24,7 @@ from cloiseg import (
 )
 from cloiseg.cli import main
 from cloiseg.sweep import rows_to_csv_text
+from cloiseg.synth import PROFILE_NAMES
 
 
 def _synth(tmp_path, profile="dense", seed=7, name="scene.pts"):
@@ -361,6 +362,22 @@ def test_header_digits_and_properties_are_read_strictly(tmp_path, capsys, name, 
     assert main(["segment", str(path), str(out)]) == 2
     assert capsys.readouterr().err == f"cloiseg segment: error: {path}:{line}: {message}\n"
     assert not out.exists()
+
+
+def test_benchmark_files_load_without_the_error_walk(tmp_path, monkeypatch):
+    # the files the CLI writes take the block scan and one loadtxt: the line
+    # walk, which only reports errors, is never called for them
+    def walk(*args):
+        raise AssertionError(f"the error walk was called for {args[0]}")
+
+    monkeypatch.setattr(cloiseg.model, "_row_error", walk)
+    scenes = [_synth(tmp_path, profile, name=f"{profile}.pts") for profile in PROFILE_NAMES]
+    for scene in scenes:
+        assert len(load_pts(scene)) > 0
+    seg, flags = tmp_path / "seg.pts", tmp_path / "flags.pts"
+    assert main(["segment", str(scenes[0]), str(seg), "--quiet"]) == 0
+    assert load_pts(seg).has_predictions
+    assert main(["boundary", str(scenes[1]), str(flags), "--quiet"]) == 0
 
 
 def test_eval_prediction_errors_name_the_line(tmp_path, capsys):

@@ -2,10 +2,13 @@
 
 Each mutant of a small valid file either runs (exit 0) or is rejected with
 exit 2, a single ``cloiseg <command>: error:`` line on stderr and no output
-file. Mutations: byte flips, truncation, duplicated or deleted lines and
-tokens, Unicode digits and Unicode whitespace. A spec mutant that raises a
-shape's density or dims, the clutter count or the shape count is not run, so
-that no case samples a huge scene.
+file. A rejected PTS or PLY mutant's error line names the file, and so does a
+spec mutant's that is not UTF-8 JSON (a spec value error names its JSON path).
+Mutations: byte flips, truncation, duplicated or deleted lines and tokens,
+Unicode digits and Unicode whitespace; point rows that gained one of the
+latter are always rejected. A spec mutant that raises a shape's density or
+dims, the clutter count or the shape count is not run, so that no case
+samples a huge scene.
 """
 
 from __future__ import annotations
@@ -53,10 +56,12 @@ def _grows(mutant: SceneSpec) -> bool:
     return mutant.clutter is not None and mutant.clutter.count > SPEC.clutter.count
 
 
-def _mutate(data: bytes, rng: np.random.Generator) -> bytes:
-    """``data`` after one to three random mutations."""
+def _mutate(data: bytes, rng: np.random.Generator) -> tuple[bytes, set[int]]:
+    """``data`` after one to three random mutations, and their kinds."""
+    kinds = set()
     for _ in range(int(rng.integers(1, 4))):
         kind = int(rng.integers(7))
+        kinds.add(kind)
         if kind == 0 and data:  # flip one bit
             at = int(rng.integers(len(data)))
             data = data[:at] + bytes([data[at] ^ (1 << int(rng.integers(8)))]) + data[at + 1:]
@@ -84,7 +89,22 @@ def _mutate(data: bytes, rng: np.random.Generator) -> bytes:
                 pool = UNICODE_DIGITS if digit else UNICODE_SPACES
                 text = text[:at] + pool[int(rng.integers(len(pool)))] + text[at + 1:]
         data = text.encode("utf-8", errors="surrogateescape")
-    return data
+    return data, kinds
+
+
+def _unicode_rows(data: bytes, reader: str) -> bool:
+    """Do the point rows of ``data`` hold a Unicode digit or Unicode whitespace?"""
+    text = data.decode("utf-8", errors="surrogateescape")
+    rows = text.split("\n", 1) if reader == "pts" else text.split("end_header\n", 1)
+    return len(rows) == 2 and any(ch in rows[1] for ch in UNICODE_DIGITS + UNICODE_SPACES)
+
+
+def _is_json(data: bytes) -> bool:
+    try:
+        json.loads(data.decode("utf-8"))
+    except ValueError:
+        return False
+    return True
 
 
 @pytest.mark.parametrize("reader", ["pts", "ply", "spec"])
@@ -102,7 +122,7 @@ def test_mutated_input_runs_or_exits_two_with_one_error_line(tmp_path, capsys, r
     outcomes = {0: 0, 2: 0}
     run = 0
     while run < MUTANTS:
-        data = _mutate(source, rng)
+        data, kinds = _mutate(source, rng)
         case = tmp_path / str(run)
         case.mkdir(exist_ok=True)
         path, out = case / f"in.{'json' if reader == 'spec' else reader}", case / "out.pts"
@@ -123,12 +143,17 @@ def test_mutated_input_runs_or_exits_two_with_one_error_line(tmp_path, capsys, r
             pytest.fail(f"{reader} mutant {data!r} raised {exc!r}")
         err = capsys.readouterr().err
         assert code in (0, 2), f"{reader} mutant {data!r} exited {code}: {err}"
+        # only Unicode swaps, so the header still declares every row
+        if reader != "spec" and kinds == {6} and _unicode_rows(data, reader):
+            assert code == 2, data
         outcomes[code] += 1
         if code == 0:
             assert err == "" and out.exists(), data
         else:
             assert err.startswith(f"cloiseg {command}: error: ") and err.count("\n") == 1, \
                 (data, err)
+            if reader != "spec" or not _is_json(data):
+                assert f"error: {path}" in err, (data, err)
             assert sorted(p.name for p in case.iterdir()) == [path.name], data
     # the mutations reach both outcomes
     assert outcomes[0] and outcomes[2], outcomes

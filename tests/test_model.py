@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import functools
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,7 +20,7 @@ from cloiseg import (
     save_pts,
 )
 import cloiseg.model
-from cloiseg.model import CloudValueError, _plain_table
+from cloiseg.model import CloudValueError
 from conftest import clouds_equal, make_cloud
 from oracles import pts_text
 
@@ -152,65 +154,132 @@ def test_load_rejects_header_mismatch(tmp_path):
         load_pts(p)
 
 
-# files the stream parse must load, or reject, exactly as the line-list parse
-STREAM_CASES = {
-    "plain": b"cloi-pts v1 n=3\n0.5 0 0 3 0\n0 1.25 0 3 0\n-1e-3 +.5 2E2 1 1\n",
-    "predictions": b"cloi-pts v1 n=2\n0 0 0 3 0 4\n1 0 0 3 0 4\n",
-    "tabs, trailing blanks": b"cloi-pts v1 n=2\n0\t0 0 3 0 \n1 0 0 3 0\n  \n\t\n\n",
-    "no final newline": b"cloi-pts v1 n=2\n0 0 0 3 0\n1 0 0 3 0",
-    "interior blank": b"cloi-pts v1 n=3\n0 0 0 3 0\n\n1 0 0 3 0\n",
-    "interior spaces": b"cloi-pts v1 n=3\n0 0 0 3 0\n   \n1 0 0 3 0\n",
-    "blank counted": b"cloi-pts v1 n=2\n0 0 0 3 0\n\n1 0 0 3 0\n",
-    "comment": b"cloi-pts v1 n=3\n0 0 0 3 0\n# note\n1 0 0 3 0\n",
-    "crlf": b"cloi-pts v1 n=2\r\n0 0 0 3 0\r\n1 0 0 3 0\r\n",
-    "cr": b"cloi-pts v1 n=2\r0 0 0 3 0\r1 0 0 3 0\r",
-    "cr header": b"cloi-pts v1 n=1\r   \n1 2 3 4 5\n",
-    "form feed": b"cloi-pts v1 n=1\n0 0 0\x0c3 0\n",
-    "vertical tab": b"cloi-pts v1 n=2\n0 0 0 3 0\n1 0\x0b0 3 0\n",
-    "line separator": "cloi-pts v1 n=1\n0 0 0\u20283 0\n".encode(),
-    "nan": b"cloi-pts v1 n=1\n0 0 nan 3 0\n",
-    "bad number": b"cloi-pts v1 n=2\n0 0 0 3 0\n1e 0 0 3 0\n",
-    "ragged": b"cloi-pts v1 n=2\n0 0 0 3 0\n1 0 0 3\n",
-    "seven columns": b"cloi-pts v1 n=1\n0 0 0 3 0 0 0\n",
-    "too many lines": b"cloi-pts v1 n=1\n0 0 0 3 0\n1 0 0 3 0\n",
-    "too few lines": b"cloi-pts v1 n=3\n0 0 0 3 0\n1 0 0 3 0\n",
-    "bad value": b"cloi-pts v1 n=2\n0 0 0 3 0\n1 0 0 9 0\n",
+TWO = ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [3, 3], [0, 0], None)
+ONE = ([[0.0, 0.0, 0.0]], [3], [0], None)
+
+# each CLOI-PTS file maps to its arrays, or to the (line, message) of its
+# error; line None is a path-only message
+ROW_CASES = {
+    "plain": (b"cloi-pts v1 n=3\n0.5 0 0 3 0\n0 1.25 0 3 0\n-1e-3 +.5 2E2 1 1\n",
+              ([[0.5, 0.0, 0.0], [0.0, 1.25, 0.0], [-0.001, 0.5, 200.0]], [3, 3, 1], [0, 0, 1],
+               None)),
+    "predictions": (b"cloi-pts v1 n=2\n0 0 0 3 0 4\n1 0 0 3 0 4\n",
+                    ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [3, 3], [0, 0], [0, 0])),
+    "tabs, trailing blanks": (b"cloi-pts v1 n=2\n0\t0 0 3 0 \n1 0 0 3 0\n  \n\t\n\n", TWO),
+    "no final newline": (b"cloi-pts v1 n=2\n0 0 0 3 0\n1 0 0 3 0", TWO),
+    "interior blank": (b"cloi-pts v1 n=3\n0 0 0 3 0\n\n1 0 0 3 0\n",
+                       (3, "blank line in point data")),
+    "interior spaces": (b"cloi-pts v1 n=3\n0 0 0 3 0\n   \n1 0 0 3 0\n",
+                        (3, "blank line in point data")),
+    "blank counted": (b"cloi-pts v1 n=2\n0 0 0 3 0\n\n1 0 0 3 0\n", (3, "blank line in point data")),
+    "comment": (b"cloi-pts v1 n=3\n0 0 0 3 0\n# note\n1 0 0 3 0\n", (3, "unexpected byte 0x23")),
+    "crlf": (b"cloi-pts v1 n=2\r\n0 0 0 3 0\r\n1 0 0 3 0\r\n", TWO),
+    "cr": (b"cloi-pts v1 n=2\r0 0 0 3 0\r1 0 0 3 0\r", TWO),
+    "crlf, trailing blanks": (b"cloi-pts v1 n=2\r\n0 0 0 3 0\r\n1 0 0 3 0\r\n \r\n\r\n", TWO),
+    "cr, interior blank": (b"cloi-pts v1 n=2\r0 0 0 3 0\r\r1 0 0 3 0\r",
+                           (3, "blank line in point data")),
+    "cr header": (b"cloi-pts v1 n=1\r   \n1 2 3 4 5\n", (2, "blank line in point data")),
+    "form feed": (b"cloi-pts v1 n=1\n0 0 0\x0c3 0\n", (2, "unexpected byte 0x0c")),
+    "vertical tab": (b"cloi-pts v1 n=2\n0 0 0 3 0\n1 0\x0b0 3 0\n", (3, "unexpected byte 0x0b")),
+    "line separator": ("cloi-pts v1 n=1\n0 0 0 3 0\n".encode(), (2, "unexpected byte 0xe2")),
+    "nul": (b"cloi-pts v1 n=1\n0 0 0\x003 0\n", (2, "unexpected byte 0x00")),
+    "unicode digit": ("cloi-pts v1 n=1\n0 ١ 0 1 0\n".encode(), (2, "unexpected byte 0xd9")),
+    "em space": ("cloi-pts v1 n=1\n0.01 0 0 1 0\n".encode(), (2, "unexpected byte 0xe2")),
+    "inline comment": (b"cloi-pts v1 n=1\n0 0 0 1 0 # x\n", (2, "unexpected byte 0x23")),
+    "0xff in a row": (b"cloi-pts v1 n=1\n0 0 0 3 0\xff\n", (2, "unexpected byte 0xff")),
+    "trailing 0xff": (b"cloi-pts v1 n=1\n0 0 0 3 0\n\xff", (3, "unexpected byte 0xff")),
+    "nan": (b"cloi-pts v1 n=1\n0 0 nan 3 0\n", (2, "non-finite coordinate")),
+    "bad number": (b"cloi-pts v1 n=2\n0 0 0 3 0\n1e 0 0 3 0\n",
+                   (3, "unparseable number in ['1e', '0', '0', '3', '0']")),
+    "ragged": (b"cloi-pts v1 n=2\n0 0 0 3 0\n1 0 0 3\n", (3, "expected 5 columns, got 4")),
+    "seven columns": (b"cloi-pts v1 n=1\n0 0 0 3 0 0 0\n", (2, "expected 5 or 6 columns, got 7")),
+    "too many lines": (b"cloi-pts v1 n=1\n0 0 0 3 0\n1 0 0 3 0\n",
+                       (None, "header declares n=1 but file has 2 data lines")),
+    "too few lines": (b"cloi-pts v1 n=3\n0 0 0 3 0\n1 0 0 3 0\n",
+                      (None, "header declares n=3 but file has 2 data lines")),
+    "bad value": (b"cloi-pts v1 n=2\n0 0 0 3 0\n1 0 0 9 0\n", (3, "class code outside [0,7]")),
+}
+
+# the rows of each case as PLY vertex rows: their outcome, where it is not the
+# CLOI-PTS one; a PLY reads n rows and ignores what follows them
+PLY_ROW_CASES = {
+    "predictions": (2, "expected 5 columns, got 6"),
+    "seven columns": (2, "expected 5 columns, got 7"),
+    "trailing 0xff": ONE,
+    "too many lines": ONE,
+    "too few lines": (None, "header declares 3 vertices but file has 2 data lines"),
 }
 
 
-def _load_outcome(path):
+def _load_outcome(load, path):
     try:
-        cloud = load_pts(path)
+        cloud = load(path)
     except (PtsParseError, ValueError) as exc:
         return str(exc)
     return (cloud.positions.tolist(), cloud.class_labels.tolist(), cloud.gt_instance.tolist(),
             None if cloud.pred_instance is None else cloud.pred_instance.tolist())
 
 
-@pytest.mark.parametrize("case", STREAM_CASES)
+def _ply_rows(data: bytes, path):
+    """The rows of a CLOI-PTS case under a PLY header, and that header's line count."""
+    header, rows = re.split(rb"\r\n?|\n", data, maxsplit=1)
+    n = int(header.split(b"=")[1])
+    head = (f"ply\nformat ascii 1.0\nelement vertex {n}\nproperty float x\nproperty float y\n"
+            "property float z\nproperty int class\nproperty int instance\nend_header\n")
+    path.write_bytes(head.encode() + rows)
+    return head.count("\n") - 1
+
+
+def _expected(outcome, path, shift=0):
+    if isinstance(outcome[1], str):
+        line, message = outcome
+        return f"{path}:{line + shift}: {message}" if line else f"{path}: {message}"
+    return outcome
+
+
+def _no_walk(*args):
+    raise AssertionError("a well-formed file took the error walk")
+
+
+def _check_case(case, tmp_path, monkeypatch):
+    """Load a case as CLOI-PTS and as PLY rows; a file that loads never takes the error walk."""
+    data, outcome = ROW_CASES[case]
+    p, ply = tmp_path / "a.pts", tmp_path / "a.ply"
+    p.write_bytes(data)
+    shift = _ply_rows(data, ply)
+    for load, path, want in ((load_pts, p, _expected(outcome, p)),
+                             (load_ply, ply,
+                              _expected(PLY_ROW_CASES.get(case, outcome), ply, shift))):
+        with monkeypatch.context() as m:
+            if not isinstance(want, str):
+                m.setattr(cloiseg.model, "_row_error", _no_walk)
+            assert _load_outcome(load, path) == want, (case, load.__name__)
+
+
+# named as before so that its case ids stay stable: each case is held to its
+# outcome in the table
+@pytest.mark.parametrize("case", ROW_CASES)
 def test_stream_parse_loads_as_the_line_list_parse(tmp_path, monkeypatch, case):
-    p = tmp_path / "a.pts"
-    p.write_bytes(STREAM_CASES[case])
-    streamed = _load_outcome(p)
-    monkeypatch.setattr(cloiseg.model, "_plain_table", lambda *args: None)
-    assert streamed == _load_outcome(p)
+    _check_case(case, tmp_path, monkeypatch)
 
 
-def test_stream_parse_counts_lines_across_blocks(tmp_path):
-    # the plain cases take the stream parse, whatever the scan's block size
-    for case, n in (("plain", 3), ("predictions", 2), ("tabs, trailing blanks", 2),
-                    ("no final newline", 2)):
-        p = tmp_path / "a.pts"
-        p.write_bytes(STREAM_CASES[case])
-        for block_size in (1, 2, 3, 7, 1 << 20):
-            with p.open("r", encoding="utf-8") as f:
-                header = f.readline()
-                table = _plain_table(p, f, header, n, block_size)
-            assert table is not None and table.shape[0] == n
-    # and the saved scenes of the CLI do too
-    save_pts(make_cloud(np.arange(12.0).reshape(4, 3), [1, 1, 2, 2]), p)
-    with p.open("r", encoding="utf-8") as f:
-        assert _plain_table(p, f, f.readline(), 4).shape == (4, 5)
+def test_stream_parse_counts_lines_across_blocks(tmp_path, monkeypatch):
+    read_rows = cloiseg.model._read_rows
+    three = b"0 0 0 3 0\r\n1 0 0 3 0\r\n2 0 0 3 1\r\n"
+    for block_size in (1, 2, 3, 7, 10, 11):
+        monkeypatch.setattr(cloiseg.model, "_read_rows",
+                            functools.partial(read_rows, block_size=block_size))
+        for case in ROW_CASES:
+            _check_case(case, tmp_path, monkeypatch)
+        # a block that ends in the CR of a CRLF (blocks of 10 bytes end inside
+        # each row's) counts one line, and cuts a PLY's rows after the CRLF
+        with monkeypatch.context() as m:
+            m.setattr(cloiseg.model, "_row_error", _no_walk)
+            p, ply = tmp_path / "a.pts", tmp_path / "a.ply"
+            p.write_bytes(b"cloi-pts v1 n=3\r\n" + three)
+            assert len(load_pts(p)) == 3
+            _ply_rows(b"cloi-pts v1 n=2\r\n" + three, ply)
+            assert _load_outcome(load_ply, ply) == TWO
 
 
 def test_roundtrip_bit_exact(tmp_path, rng):

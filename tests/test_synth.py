@@ -240,6 +240,18 @@ def test_malformed_spec_json_exits_two_naming_its_path(name, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_spec_that_is_not_utf8_json_names_its_file(tmp_path, capsys):
+    path, out = tmp_path / "bad.json", tmp_path / "scene.pts"
+    for data, message in ((b'{"seed": 1, "shapes": [,]}',
+                           ": Expecting value: line 1 column 24 (char 23)"),
+                          (b'{"seed": 1,\n "shapes": [\xff]}',
+                           ": 'utf-8' codec can't decode byte 0xff in position 24: invalid start byte")):
+        path.write_bytes(data)
+        assert main(["synth", "--spec", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"cloiseg synth: error: {path}{message}\n"
+        assert not out.exists()
+
+
 def test_well_formed_spec_json_still_loads(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"seed": 4, "shapes": [{**_CYLINDER, "gaps": [[0.1, 0.2]]}],
