@@ -47,46 +47,41 @@ class MatchResult:
     threshold: float
 
 
-def _candidate_pairs(pred: InstanceLabeling, gt: InstanceLabeling, threshold: float):
-    """(pred_id, gt_id, iou) for every class-consistent pair with IoU >= t."""
+def _ranked_pairs(pred: InstanceLabeling, gt: InstanceLabeling) -> list[tuple[int, int, float]]:
+    """(pred id, gt id, IoU) of every class-consistent pair that shares a point,
+    by descending IoU, then lower pred id, then lower gt id."""
+    if pred.assignment.shape != gt.assignment.shape:
+        raise ValueError("labelings cover clouds of different sizes")
     pa, ga = pred.assignment, gt.assignment
     both = (pa != NOISE) & (ga != NOISE)
-    if not both.any():
-        return []
-    n_gt = gt.n_instances
-    codes = pa[both] * n_gt + ga[both]
-    uniq, counts = np.unique(codes, return_counts=True)
-    p_ids = uniq // n_gt
-    g_ids = uniq % n_gt
-    p_sizes = pred.sizes()
-    g_sizes = gt.sizes()
-    out = []
-    for p, g, inter in zip(p_ids, g_ids, counts):
-        if pred.instance_classes[p] != gt.instance_classes[g]:
-            continue
-        v = inter / (p_sizes[p] + g_sizes[g] - inter)
-        if v >= threshold:
-            out.append((int(p), int(g), float(v)))
-    return out
+    codes, inter = np.unique(pa[both] * gt.n_instances + ga[both], return_counts=True)
+    p, g = np.divmod(codes, gt.n_instances)
+    same = pred.instance_classes[p] == gt.instance_classes[g]
+    p, g, inter = p[same], g[same], inter[same]
+    v = inter / (pred.sizes()[p] + gt.sizes()[g] - inter)
+    order = np.lexsort((g, p, -v))
+    return list(zip(p[order].tolist(), g[order].tolist(), v[order].tolist()))
+
+
+def _greedy(ranked: list[tuple[int, int, float]], threshold: float) -> list[MatchedPair]:
+    """The one-to-one pairs taken in ranked order while IoU >= threshold."""
+    if not 0 < threshold <= 1:
+        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
+    pred_taken, gt_taken, pairs = set(), set(), []
+    for p, g, v in ranked:
+        if v < threshold:
+            break
+        if p not in pred_taken and g not in gt_taken:
+            pred_taken.add(p)
+            gt_taken.add(g)
+            pairs.append(MatchedPair(p, g, v))
+    return pairs
 
 
 def match_instances(pred: InstanceLabeling, gt: InstanceLabeling, threshold: float) -> MatchResult:
     """Greedy one-to-one matching of predicted to ground-truth instances."""
-    if pred.assignment.shape != gt.assignment.shape:
-        raise ValueError("labelings cover clouds of different sizes")
-    if not 0 < threshold <= 1:
-        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    candidates = _candidate_pairs(pred, gt, threshold)
-    candidates.sort(key=lambda c: (-c[2], c[0], c[1]))
-    pred_taken = set()
-    gt_taken = set()
-    pairs = []
-    for p, g, v in candidates:
-        if p in pred_taken or g in gt_taken:
-            continue
-        pred_taken.add(p)
-        gt_taken.add(g)
-        pairs.append(MatchedPair(p, g, v))
+    pairs = _greedy(_ranked_pairs(pred, gt), threshold)
+    pred_taken, gt_taken = {m.pred_id for m in pairs}, {m.gt_id for m in pairs}
     unmatched_p = tuple(p for p in range(pred.n_instances) if p not in pred_taken)
     unmatched_g = tuple(g for g in range(gt.n_instances) if g not in gt_taken)
     return MatchResult(tuple(pairs), unmatched_p, unmatched_g, threshold)
@@ -171,18 +166,17 @@ def score(
 ) -> EvalReport:
     """Score a prediction against ground truth at each IoU threshold."""
     thresholds = tuple(thresholds)
+    ranked = _ranked_pairs(pred, gt)
+    k = len(ClassLabel)
+    n_pred = np.bincount(pred.instance_classes, minlength=k)
+    n_gt = np.bincount(gt.instance_classes, minlength=k)
     by_threshold = {}
-    pred_classes = pred.instance_classes
-    gt_classes = gt.instance_classes
     for t in thresholds:
-        match = match_instances(pred, gt, t)
-        per_class = {}
-        for c in ClassLabel:
-            tp = sum(1 for pair in match.pairs if pred_classes[pair.pred_id] == int(c))
-            fp = sum(1 for p in match.unmatched_preds if pred_classes[p] == int(c))
-            fn = sum(1 for g in match.unmatched_gts if gt_classes[g] == int(c))
-            per_class[c] = ClassMetrics(tp, fp, fn)
-        by_threshold[t] = ThresholdMetrics(t, per_class)
+        # a pair joins two instances of one class, so tp counts matched gts too
+        matched = [m.pred_id for m in _greedy(ranked, t)]
+        tp = np.bincount(pred.instance_classes[matched], minlength=k)
+        by_threshold[t] = ThresholdMetrics(t, {c: ClassMetrics(
+            int(tp[c]), int(n_pred[c] - tp[c]), int(n_gt[c] - tp[c])) for c in ClassLabel})
     return EvalReport(thresholds, by_threshold)
 
 

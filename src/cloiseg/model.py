@@ -203,6 +203,9 @@ def _cloud_from_columns(path, columns, first_data_line: int) -> LabeledPointClou
 #: With no other byte no line is a comment, and numpy reads numbers as float does.
 _ROW_BYTES = b"0123456789+-.eEnNaAiIfFtTyY \t\r\n"
 _LINE_END = re.compile(rb"\r\n?|\n")
+#: A header line's bytes: printable ASCII, tab and the line ends. str.split()
+#: would also split on the other control bytes, such as 0x1c-0x1f.
+_HEADER_BYTES = bytes(range(0x20, 0x7f)) + b"\t\r\n"
 
 
 def _line_ends(data: bytes) -> int:
@@ -542,7 +545,7 @@ def load_ply(path) -> LabeledPointCloud:
             raise PtsParseError(path, 1, "not a PLY file")
         if header[1].strip() != "format ascii 1.0":
             raise PtsParseError(path, 2, f"only ASCII PLY is supported, got {header[1].strip()!r}")
-        n_vertex, properties, in_vertex = None, [], False
+        n_vertex, properties, in_vertex, skip = None, [], False, 0
         for line in f:
             header.append(line)
             tokens = line.split()
@@ -554,6 +557,8 @@ def load_ply(path) -> LabeledPointCloud:
                 in_vertex = tokens[1] == "vertex"
                 if in_vertex:
                     n_vertex = int(tokens[2])
+                elif n_vertex is None:  # the rows of elements before vertex come first
+                    skip += int(tokens[2])
             elif tokens[0] == "property" and in_vertex:
                 if tokens[-1] in properties:
                     raise PtsParseError(path, len(header),
@@ -564,14 +569,16 @@ def load_ply(path) -> LabeledPointCloud:
         else:
             raise PtsParseError(path, len(header), "missing end_header")
         for line_no, line in enumerate(header, 1):
-            _check_bytes(path, line_no, line, bytes(range(128)))
+            _check_bytes(path, line_no, line, _HEADER_BYTES)
         if n_vertex is None:
             raise PtsParseError(path, len(header), "missing vertex element")
         for req in ("x", "y", "z"):
             if req not in properties:
                 raise PtsParseError(path, len(header), f"missing vertex property {req!r}")
-        first_data_line = len(header) + 1
-        data = _read_rows(path, f, sum(map(len, header)), first_data_line, n_vertex,
+        start = sum(map(len, header)) + sum(
+            len(line.encode("utf-8", "surrogateescape")) for line in islice(f, skip))
+        first_data_line = len(header) + skip + 1
+        data = _read_rows(path, f, start, first_data_line, n_vertex,
                           (len(properties),), f"{n_vertex} vertices", n_vertex)
     col = dict(zip(properties, data.T))
     table = np.column_stack([col["x"], col["y"], col["z"],

@@ -174,12 +174,12 @@ class SceneSpec:
 
     @classmethod
     def from_json(cls, path) -> "SceneSpec":
-        """The spec of a JSON file; one that is not UTF-8 JSON raises ValueError naming it."""
+        """The spec of a JSON file; one that is not UTF-8 JSON, or whose values
+        :meth:`from_dict` rejects, raises ValueError starting with its path."""
         try:
-            d = json.loads(Path(path).read_bytes().decode("utf-8"))
-        except ValueError as exc:  # a UnicodeDecodeError or a JSONDecodeError
+            return cls.from_dict(json.loads(Path(path).read_bytes().decode("utf-8")))
+        except ValueError as exc:  # a UnicodeDecodeError, a JSONDecodeError or a value
             raise ValueError(f"{path}: {exc}") from None
-        return cls.from_dict(d)
 
 
 # JSON readers: each returns the value at a JSON path or raises ValueError naming it.

@@ -340,6 +340,9 @@ def test_ply_value_errors_name_the_line(tmp_path, capsys):
         assert f"{ply}:{line}: {message}" in capsys.readouterr().err
 
 
+_CONTROL_BYTES = (0x0b, 0x0c, 0x1c, 0x1d, 0x1e, 0x1f, 0x7f)
+
+
 @pytest.mark.parametrize("name, text, line, message", [
     # '²' passes str.isdigit but not int()
     ("sup.ply", "ply\nformat ascii 1.0\nelement vertex ²\nproperty float x\n"
@@ -354,7 +357,13 @@ def test_ply_value_errors_name_the_line(tmp_path, capsys):
     ("twice.ply", "ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\n"
                   "property float x\nproperty float y\nproperty float z\nend_header\n1 2 3 4\n",
      5, "repeated vertex property 'x'"),
-], ids=["superscript-count", "arabic-count", "arabic-pts-count", "repeated-property"])
+    # str.split() splits on 0x0b, 0x0c and 0x1c-0x1f, so the line would read as
+    # "element vertex 1"; no header line holds a control byte
+    *[(f"ctl-{byte:#04x}.ply", f"ply\nformat ascii 1.0\nelement{chr(byte)}vertex 1\n"
+       "property float x\nproperty float y\nproperty float z\nend_header\n1 2 3\n",
+       3, f"unexpected byte {byte:#04x}") for byte in _CONTROL_BYTES],
+], ids=["superscript-count", "arabic-count", "arabic-pts-count", "repeated-property",
+        *[f"control-byte-{byte:#04x}" for byte in _CONTROL_BYTES]])
 def test_header_digits_and_properties_are_read_strictly(tmp_path, capsys, name, text, line,
                                                         message):
     path, out = tmp_path / name, tmp_path / "out.pts"

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import cloiseg.evaluation
 from cloiseg import (
     NOISE,
     ClassLabel,
@@ -15,7 +17,7 @@ from cloiseg import (
     rec_ins,
     score,
 )
-from oracles import brute_greedy_match
+from oracles import brute_greedy_match, brute_iou, instances_from_assignment
 
 
 def _labeling(assignment, classes):
@@ -195,6 +197,67 @@ def test_score_counts():
     assert (m.tp, m.fp, m.fn) == (1, 1, 1)
     assert m.precision == 0.5
     assert m.recall == 0.5
+
+
+def _block_labelings(rng, blocks=24, size=3):
+    """Labelings of equal-size blocks of points: IoUs are ratios of block counts, so many tie."""
+    block_classes = rng.integers(0, 4, blocks)
+    gt = block_classes * 10 + rng.integers(0, 3, blocks)
+    pred = np.where(rng.random(blocks) < 0.2, NOISE, block_classes * 10 + rng.integers(0, 4, blocks))
+    classes = np.repeat(block_classes, size)
+    return np.repeat(pred, size), np.repeat(gt, size), classes
+
+
+def _oracle_tallies(pairs, pred, gt, classes):
+    """{class: (tp, fp, fn)} from the greedy oracle's pairs."""
+    preds, gts = instances_from_assignment(pred), instances_from_assignment(gt)
+    matched_p, matched_g = {p for p, _, _ in pairs}, {g for _, g, _ in pairs}
+
+    def cls(members):
+        return ClassLabel(int(classes[min(members)]))
+
+    tp = Counter(cls(preds[p]) for p in matched_p)
+    fp = Counter(cls(m) for p, m in preds.items() if p not in matched_p)
+    fn = Counter(cls(m) for g, m in gts.items() if g not in matched_g)
+    return {c: (tp[c], fp[c], fn[c]) for c in ClassLabel}
+
+
+def _pair_ious(pred, gt, classes):
+    preds, gts = instances_from_assignment(pred), instances_from_assignment(gt)
+    return [brute_iou(pm, gm) for pm in preds.values() for gm in gts.values()
+            if pm & gm and classes[min(pm)] == classes[min(gm)]]
+
+
+def test_score_matches_the_oracle_at_every_threshold(rng, monkeypatch):
+    built = []
+    ranked_pairs = cloiseg.evaluation._ranked_pairs
+    monkeypatch.setattr(cloiseg.evaluation, "_ranked_pairs",
+                        lambda *a: built.append(a) or ranked_pairs(*a))
+    cases = [_block_labelings(rng) for _ in range(40)]
+    gt_only = _block_labelings(rng)[1:]
+    pred_only = _block_labelings(rng)
+    cases += [(np.full(gt_only[0].size, NOISE), *gt_only),  # an empty prediction
+              (pred_only[0], np.full(pred_only[0].size, NOISE), pred_only[2]),  # no gt instance
+              (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int64))]
+    ties = 0
+    for pred_raw, gt_raw, classes in cases:
+        pred, gt = _labeling(pred_raw, classes), _labeling(gt_raw, classes)
+        ious = _pair_ious(pred.assignment, gt.assignment, classes)
+        ties += len(ious) > len(set(ious))
+        # one threshold equal to a pair's IoU: a pair at exactly t matches
+        thresholds = (1 / 3, 0.5, 2 / 3, 1.0) + ((float(rng.choice(ious)),) if ious else ())
+        built.clear()
+        report = score(pred, gt, thresholds=thresholds)
+        assert len(built) == 1
+        for t in thresholds:
+            pairs = brute_greedy_match(pred.assignment, gt.assignment, classes, t)
+            want = _oracle_tallies(pairs, pred.assignment, gt.assignment, classes)
+            per_class = report.by_threshold[t].per_class
+            assert {c: (m.tp, m.fp, m.fn) for c, m in per_class.items()} == want, t
+            # the tallies come from the pairs that match_instances returns
+            match = match_instances(pred, gt, t)
+            assert [(m.pred_id, m.gt_id, m.iou) for m in match.pairs] == pairs, t
+    assert ties > 20  # the blocks force IoU ties in most cases
 
 
 def test_report_rows_and_mean_consistency():

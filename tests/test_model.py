@@ -501,6 +501,23 @@ def test_load_ply_ignores_other_properties_and_trailing_elements(tmp_path):
     assert cloud.gt_instance.tolist() == [0, 0]
 
 
+def test_load_ply_skips_the_rows_of_elements_before_vertex(tmp_path):
+    p = tmp_path / "face-first.ply"
+    head = ("ply\nformat ascii 1.0\nelement face {faces}\nproperty list uchar int vertex_indices\n"
+            "element edge 1\nproperty int vertex1\nelement vertex 2\nproperty float x\n"
+            "property float y\nproperty float z\nend_header\n")
+    p.write_text(head.format(faces=1) + "2 0 1\n0 1\n1 2 3\n4 5 6\n")
+    assert load_ply(p).positions.tolist() == [[1, 2, 3], [4, 5, 6]]
+    # skipped rows are counted in bytes, whatever they hold, and shift every line number
+    rows = "2 0 1 \u00e9\r\n3 0\r0 1\n1 2 3\n4 5 e\n"
+    p.write_bytes((head.format(faces=2) + rows).encode())
+    with pytest.raises(PtsParseError, match=r"face-first\.ply:16: unparseable number"):
+        load_ply(p)
+    p.write_text(head.format(faces=3) + "2 0 1\n0 1\n1 2 3\n4 5 6\n")
+    with pytest.raises(PtsParseError, match="declares 2 vertices but file has 0 data lines"):
+        load_ply(p)
+
+
 def test_load_ply_rejects_binary(tmp_path):
     p = tmp_path / "c.ply"
     p.write_text("ply\nformat binary_little_endian 1.0\nend_header\n")

@@ -236,7 +236,8 @@ def test_malformed_spec_json_exits_two_naming_its_path(name, tmp_path, capsys):
     out = tmp_path / "scene.pts"
     assert main(["synth", "--spec", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert re.search(r"^cloiseg synth: error: " + message, err, re.MULTILINE), err
+    assert re.search(rf"^cloiseg synth: error: {re.escape(str(path))}: " + message, err,
+                     re.MULTILINE), err
     assert not out.exists()
 
 
