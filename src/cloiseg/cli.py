@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .boundary import BoundaryParams, _class_boundary_flags, detect_gt_instance_boundaries
+from .boundary import BoundaryParams, _boundary_flags, detect_gt_instance_boundaries
 from .evaluation import THRESHOLDS, score
 from .model import (
     ClassLabel,
@@ -175,7 +175,7 @@ def _cmd_boundary(args: argparse.Namespace) -> int:
     if args.gt_flag:
         flags = detect_gt_instance_boundaries(cloud, BoundaryParams(args.boundary_radius))
     else:
-        flags = _class_boundary_flags(cloud.positions, cloud.class_labels, args.boundary_radius)
+        flags = _boundary_flags(cloud.positions, cloud.class_labels, args.boundary_radius)
     save_pts(cloud, args.output, extra_column=flags)
     _log(args, f"flagged {int(flags.sum())} of {len(cloud)} points")
     return 0

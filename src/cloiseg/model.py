@@ -291,6 +291,7 @@ def load_pts(path) -> LabeledPointCloud:
         m = _HEADER_RE.match(header)
         if not m:
             raise PtsParseError(path, 1, f"bad header {header.rstrip()!r}")
+        _check_bytes(path, 1, header, _HEADER_BYTES)  # \s also matches 0x0b and 0x0c
         table = _read_rows(path, f, len(header), 2, int(m[1]), (5, 6), f"n={m[1]}")
     columns = _table_columns(path, table, first_data_line=2)
     del table  # freed before the cloud checks, which peak over the columns
@@ -545,7 +546,7 @@ def load_ply(path) -> LabeledPointCloud:
             raise PtsParseError(path, 1, "not a PLY file")
         if header[1].strip() != "format ascii 1.0":
             raise PtsParseError(path, 2, f"only ASCII PLY is supported, got {header[1].strip()!r}")
-        n_vertex, properties, in_vertex, skip = None, [], False, 0
+        n_vertex, properties, elements, in_vertex, skip = None, [], set(), False, 0
         for line in f:
             header.append(line)
             tokens = line.split()
@@ -554,6 +555,9 @@ def load_ply(path) -> LabeledPointCloud:
             if tokens[0] == "element":
                 if len(tokens) != 3 or not (tokens[2].isascii() and tokens[2].isdigit()):
                     raise PtsParseError(path, len(header), f"bad element line {line.strip()!r}")
+                if tokens[1] in elements:
+                    raise PtsParseError(path, len(header), f"repeated element {tokens[1]!r}")
+                elements.add(tokens[1])
                 in_vertex = tokens[1] == "vertex"
                 if in_vertex:
                     n_vertex = int(tokens[2])

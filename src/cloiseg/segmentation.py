@@ -7,10 +7,10 @@ reattach each boundary point to its nearest same-class instance (capped at
 then renumber canonically. Deterministic for a given input; every step runs
 in one thread, and the ``workers`` arguments are accepted but have no effect.
 
-Each step is per class. A point is a boundary point when its nearest point
-of another class lies within the boundary radius, one rule for every radius.
-One index over a class's interior points serves both of its other steps:
-links are enumerated over it, so pairs across classes or with a boundary
+A point is a boundary point when a point of another class lies within the
+boundary radius (``boundary._boundary_flags``). The other steps are per
+class, and one index over a class's interior points serves both: links are
+enumerated among its points, so pairs across classes or with a boundary
 point never arise, and the class's boundary points then query it for their
 nearest instance. A numpy union-find labels each interior point with the
 smallest member of its component, a boundary point takes the label of the
@@ -22,10 +22,10 @@ are epsilon-pairs, each labelled with its smallest point and joined to its
 face neighbours after an exact test (``clique_cells``). Then one join step
 (``_join_mixed``): a point whose block of cells (side >= epsilon) holds a
 single label has all its epsilon-neighbours in its own component, so its
-epsilon-pairs cannot join two components. Only the other, mixed, points
-get an index (``spatial.mixed_pairs``), and their epsilon-pairs join the
-labels. The labels stay smallest members, so the result equals one
-labelling of every epsilon-pair.
+epsilon-pairs cannot join two components. The epsilon-pairs of two labels
+among the other, mixed, points (``spatial.mixed_pairs``) join the labels.
+The labels stay smallest members, so the result equals one labelling of
+every epsilon-pair.
 
 The per-object radius study (``_fragmentation_by_radius``) labels its
 first, smallest, radius the same way. The components at a smaller radius
@@ -35,12 +35,13 @@ starts from the labels of the radius before and runs only the join step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .boundary import _class_boundary_flags
+from .boundary import _boundary_flags
 from .model import NOISE, LabeledPointCloud, _group_instances
 from .spatial import RadiusIndex, _checked_positions, clique_cells, mixed_pairs
 
@@ -62,12 +63,13 @@ class SegmentationParams:
     boundary_radius: float | None = None
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         if self.mu < 1 or not float(self.mu).is_integer():
             raise ValueError(f"mu must be an integer >= 1, got {self.mu}")
-        if self.boundary_radius is not None and not self.boundary_radius > 0:
-            raise ValueError(f"boundary radius must be positive, got {self.boundary_radius}")
+        if self.boundary_radius is not None and not 0 < self.boundary_radius < math.inf:
+            raise ValueError("boundary radius must be finite and positive, "
+                             f"got {self.boundary_radius}")
 
     @property
     def resolved_boundary_radius(self) -> float:
@@ -181,9 +183,10 @@ def _join_mixed(positions: np.ndarray, labels: np.ndarray, radius: float) -> np.
 
     ``labels`` are smallest members, ids into ``positions``, of components
     that lie each within one component of the pairs within ``radius``, so
-    only the pairs of ``mixed_pairs`` can join two of them.
+    only the pairs of two labels, which ``mixed_pairs`` streams, join them.
     """
-    pairs = mixed_pairs(positions, labels, radius)
+    pairs = np.concatenate([np.empty((0, 2), dtype=np.int64),
+                            *mixed_pairs(positions, labels, radius)])
     if pairs.size:
         labels = _component_labels(labels.size, labels[pairs])[labels]
     return labels
@@ -249,7 +252,7 @@ def _segment_before_mu(
         return np.empty(0, dtype=np.int64), SegmentationDetails(np.zeros(0, dtype=bool), 0, 0, 0)
     eps = params.epsilon
     positions, classes = cloud.positions, cloud.class_labels
-    flags = _class_boundary_flags(positions, classes, params.resolved_boundary_radius)
+    flags = _boundary_flags(positions, classes, params.resolved_boundary_radius)
 
     # labels are smallest members of provisional instances, or NOISE
     labels = np.full(n, NOISE, dtype=np.int64)
@@ -307,8 +310,8 @@ def segment_single_object(positions: np.ndarray, epsilon: float) -> SingleObject
     positions = _checked_positions(positions)
     if positions.size == 0:
         raise ValueError("object has no points")
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     return _fragmentation_by_radius(positions, (epsilon,))[0]
 
 

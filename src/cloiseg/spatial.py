@@ -11,15 +11,15 @@ radius of a point lies in its block: the 3x3x3 cells around its own (and
 each in the other's). Pair and nearest queries test each point of a block
 exactly; ``block_reduce`` reduces a per-point value over each point's block,
 so that where a block's values show that no neighbour can matter, a
-neighbour query may skip the point. Boundary flags use it so (see
-``boundary``); ``mixed_pairs`` enumerates only the pairs that can join two
-ids, for links, the radius sweep and ground-truth flags. Rounding cannot
-break the rule: a cell is wider than the radius by a relative
-``CELL_MARGIN``, which covers the rounding of the distance rule, plus
-``CELL_ULPS`` units in the last place of the cloud's largest extent, which
-cover the rounding of ``x - min`` and of the division by the side. A
-relative hair alone is not enough: at UTM-size coordinates ``x - min``
-rounds by ~1e-9 m.
+neighbour query may skip the point. ``mixed_pairs`` uses it to skip every
+point whose block holds a single id, then streams, a chunk at a time, the
+pairs of two ids: of class or ground-truth ids for boundary flags, of
+component labels for links and the radius sweep. Rounding cannot break the
+rule: a cell is wider than the radius by a relative ``CELL_MARGIN``, which
+covers the rounding of the distance rule, plus ``CELL_ULPS`` units in the
+last place of the cloud's largest extent, which cover the rounding of
+``x - min`` and of the division by the side. A relative hair alone is not
+enough: at UTM-size coordinates ``x - min`` rounds by ~1e-9 m.
 
 Cell keys cannot overflow, however far apart the points lie. Along each
 axis, occupied cells more than one cell apart are brought to two apart,
@@ -223,6 +223,48 @@ def _expand(owner: np.ndarray, first: np.ndarray, count: np.ndarray):
     return np.repeat(owner, count), at
 
 
+def _pair_chunks(positions: np.ndarray, r: float, ids: np.ndarray):
+    """Yield the pairs (i, j), i < j, with d(P_i, P_j) <= r and two ``ids``, a chunk at a time.
+
+    Each point is tested against the later points of its own cell and
+    column, up to the cell above, and the 4 columns after its own: the
+    forward half of its block, which holds each pair of the block once.
+    A chunk takes about ``CANDIDATE_BUDGET`` candidate pairs, drops those of
+    one id before the distance test, and yields an (M, 2) array, of int32
+    where the indexes fit.
+    """
+    n = positions.shape[0]
+    if n < 2:
+        return
+    grid = _Grid(positions, r)
+    starts = grid.starts
+    first, last = grid.runs(grid.cell_column, grid.cell_z, _FORWARD)
+    first, last = starts[first], starts[last]
+    # the cell's own column runs to the end of the cell above it, if any
+    own_end = starts[np.searchsorted(grid.keys, grid.keys + 2)]
+    cell = np.repeat(np.arange(grid.keys.size), np.diff(starts))
+    point = np.arange(n)
+    cost = own_end[cell] - point - 1 + (last - first).sum(axis=0)[cell]
+    if not cost.any():
+        return
+    coords = _coordinate_rows(positions, grid.order)
+    own = ids[grid.order]
+    rr = r * r
+    order = grid.order.astype(np.int32 if n <= np.iinfo(np.int32).max else np.int64)
+    for a, b in _chunks(cost):
+        p, k = point[a:b], cell[a:b]
+        lo = np.vstack([p + 1, first[:, k]]).ravel()
+        i, j = _expand(np.tile(p, 5), lo, np.vstack([own_end[k], last[:, k]]).ravel() - lo)
+        two = np.flatnonzero(own[i] != own[j])
+        i, j = i[two], j[two]
+        near = np.flatnonzero(_squared_gaps(coords, i, coords, j) <= rr)
+        i, j = order[i[near]], order[j[near]]
+        pairs = np.empty((near.size, 2), dtype=order.dtype)
+        np.minimum(i, j, out=pairs[:, 0])
+        np.maximum(i, j, out=pairs[:, 1])
+        yield pairs
+
+
 class RadiusIndex:
     """Exact fixed-radius queries over a set of points, answered on a cell grid.
 
@@ -238,44 +280,12 @@ class RadiusIndex:
         return self.positions.shape[0]
 
     def pairs_within(self, r: float) -> np.ndarray:
-        """All index pairs (i, j), i < j, with d(P_i, P_j) <= r; shape (M, 2).
-
-        Each point is tested against the later points of its own cell and
-        column, up to the cell above, and the 4 columns after its own: the
-        forward half of its block, which holds each pair of the block once.
-        """
+        """All index pairs (i, j), i < j, with d(P_i, P_j) <= r; shape (M, 2)."""
         if not r > 0:
             raise ValueError(f"radius must be positive, got {r}")
-        n = len(self)
-        if n < 2:
-            return np.empty((0, 2), dtype=np.int64)
-        grid = _Grid(self.positions, r)
-        starts = grid.starts
-        first, last = grid.runs(grid.cell_column, grid.cell_z, _FORWARD)
-        first, last = starts[first], starts[last]
-        # the cell's own column runs to the end of the cell above it, if any
-        own_end = starts[np.searchsorted(grid.keys, grid.keys + 2)]
-        cell = np.repeat(np.arange(grid.keys.size), np.diff(starts))
-        point = np.arange(n)
-        cost = own_end[cell] - point - 1 + (last - first).sum(axis=0)[cell]
-        if not cost.any():
-            return np.empty((0, 2), dtype=np.int64)
-        coords = _coordinate_rows(self.positions, grid.order)
-        rr = r * r
-        # original ids, narrowed where they fit: each chunk's pairs are stored so
-        order = grid.order.astype(np.int32 if n <= np.iinfo(np.int32).max else np.int64)
-        found = []
-        for a, b in _chunks(cost):
-            p, k = point[a:b], cell[a:b]
-            lo = np.vstack([p + 1, first[:, k]]).ravel()
-            i, j = _expand(np.tile(p, 5), lo, np.vstack([own_end[k], last[:, k]]).ravel() - lo)
-            near = np.flatnonzero(_squared_gaps(coords, i, coords, j) <= rr)
-            i, j = order[i[near]], order[j[near]]
-            pairs = np.empty((near.size, 2), dtype=order.dtype)
-            np.minimum(i, j, out=pairs[:, 0])
-            np.maximum(i, j, out=pairs[:, 1])
-            found.append(pairs)
-        return np.concatenate(found, dtype=np.int64)
+        return np.concatenate([np.empty((0, 2), dtype=np.int64),
+                               *_pair_chunks(self.positions, r, np.arange(len(self)))],
+                              dtype=np.int64)
 
     def nearest_within(self, points: np.ndarray, cap: float) -> tuple[np.ndarray, np.ndarray]:
         """Every exactly nearest indexed point to each query point, up to distance cap.
@@ -356,20 +366,27 @@ def block_reduce(positions: np.ndarray, radius: float, values: np.ndarray, ufunc
     return block[cell_of]
 
 
-def mixed_pairs(positions: np.ndarray, ids: np.ndarray, radius: float) -> np.ndarray:
-    """The pairs within ``radius`` among the points whose block holds two ``ids``; shape (M, 2).
+def mixed_pairs(positions: np.ndarray, ids: np.ndarray, radius: float):
+    """Yield the pairs within ``radius`` whose two ``ids`` differ, a chunk at a time; (M, 2) each.
 
-    Only such a mixed point (``block_reduce`` of ``[id, -id]`` with
-    ``np.minimum``) can have a neighbour of another id, and that neighbour is
-    mixed too; so the pairs, as rows of ``positions``, hold every pair of two
-    ids within ``radius``, beside some pairs of one id. Where no point is
-    mixed there are no pairs and no index is built.
+    Only a point whose block holds two ids (``block_reduce`` of ``[id, -id]``
+    with ``np.minimum``) can have a neighbour of another id, and that
+    neighbour's block holds two ids too; so pairs are enumerated among those
+    points only, and where there are none no pair is tested. ``ids`` are
+    integers >= 0; they are reduced in the smallest signed type that holds
+    ``-max(ids) - 1``.
     """
-    bounds = block_reduce(positions, radius, np.stack([ids, -ids], axis=1), np.minimum)
+    ids = np.asarray(ids)
+    if ids.size == 0:
+        return
+    narrow = ids.astype(np.min_scalar_type(-int(ids.max()) - 1))
+    bounds = block_reduce(positions, radius, np.stack([narrow, -narrow], axis=1), np.minimum)
     mixed = np.flatnonzero(bounds[:, 0] != -bounds[:, 1])
+    del narrow, bounds
     if mixed.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    return mixed[RadiusIndex(positions[mixed]).pairs_within(radius)]
+        return
+    for pairs in _pair_chunks(positions[mixed], radius, ids[mixed]):
+        yield mixed[pairs]
 
 
 def clique_cells(positions: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:

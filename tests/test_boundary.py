@@ -23,6 +23,9 @@ def test_params_validation():
         BoundaryParams(0.0)
     with pytest.raises(ValueError):
         BoundaryParams(-0.01)
+    for radius in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite and positive"):
+            BoundaryParams(radius)
 
 
 def test_single_class_cloud_has_no_boundaries(rng):

@@ -9,11 +9,14 @@ most likely to lose one or to join too many: ties at exactly the radius far
 from the origin, where ``x - min`` rounds; points on multiples of epsilon
 and of the clique side; pairs at exactly epsilon across clique cell faces;
 an outlier that would overflow a plain int64 cell key; a radius too small
-for clique cells; and same-class chains whose links are longer than a
-clique cell.
+for clique cells; same-class chains whose links are longer than a clique
+cell; a scanned surface with a share of its class labels redrawn; and a cube
+in which every pair of points lies within the radius.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +28,8 @@ from cloiseg import (
     connected_components,
     detect_class_boundaries,
     detect_gt_instance_boundaries,
+    generate_scene,
+    make_benchmark_suite,
     segment,
 )
 from cloiseg.segmentation import _component_labels, _epsilon_labels, _fragmentation_by_radius
@@ -225,6 +230,57 @@ def test_gt_boundaries_at_exactly_the_radius(shift):
         # rounds to either side of epsilon
         if not (shift and r == EPS):
             assert flags.any() == (r > CLIQUE)
+
+
+def _profile_crop(profile="cluttered", size=2000):
+    """The ``size`` points of a profile scene nearest a seeded one, in scene order."""
+    (spec, _), = make_benchmark_suite(profile, seed=3)
+    cloud = generate_scene(spec)
+    center = cloud.positions[np.random.default_rng(7).integers(len(cloud))]
+    near = np.sort(np.argsort(((cloud.positions - center) ** 2).sum(axis=1), kind="stable")[:size])
+    return cloud.positions[near], cloud.class_labels[near], cloud.gt_instance[near]
+
+
+@pytest.mark.parametrize("share", [0.01, 0.05, 0.25])
+def test_label_flipped_profile_crop_matches_the_oracles(share):
+    # a classifier's labels are wrong on a share of the points: redraw that
+    # share uniformly over the 8 classes, on a scanned surface and clutter
+    pos, classes, gt = _profile_crop()
+    assert np.unique(classes).size > 1
+    rng = np.random.default_rng(7)
+    redrawn = rng.choice(len(pos), round(share * len(pos)), replace=False)
+    classes = classes.copy()
+    classes[redrawn] = rng.integers(0, 8, redrawn.size)
+    # the redrawn classes split the instances, which keeps each class-pure
+    _, gt = np.unique(np.stack([classes, gt]), axis=1, return_inverse=True)
+    cloud = make_cloud(pos, classes, gt)
+    for r_b in (0.03, EPS):
+        flags = detect_class_boundaries(cloud, RadiusIndex(cloud.positions), BoundaryParams(r_b))
+        assert flags.tolist() == brute_class_boundaries(pos, classes, r_b).tolist()
+        flags = detect_gt_instance_boundaries(cloud, BoundaryParams(r_b))
+        assert flags.tolist() == brute_class_boundaries(pos, gt, r_b).tolist()
+        params = SegmentationParams(epsilon=EPS, mu=1, boundary_radius=r_b)
+        want = brute_segment(pos, classes, EPS, 1, r_b)
+        assert segment(cloud, params).assignment.tolist() == want.tolist()
+
+
+def test_flags_of_a_crowded_cube_hold_no_pair_list():
+    # two ids interleaved in a 2cm cube: all 12.5M pairs of its 5k points lie
+    # within epsilon, about 400 MB as one list, and every point is flagged
+    pos = np.random.default_rng(0).uniform(0.0, 0.02, (5000, 3))
+    ids = np.arange(5000) % 2
+    cloud = make_cloud(pos, ids, ids)
+    params = BoundaryParams(EPS)
+    for flags_of in (lambda: detect_gt_instance_boundaries(cloud, params),
+                     lambda: detect_class_boundaries(cloud, RadiusIndex(pos), params)):
+        tracemalloc.start()
+        try:
+            flags = flags_of()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert flags.all()
+        assert peak < 50 * 2**20
 
 
 def _brute_labels(pos, r):

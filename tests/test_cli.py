@@ -57,6 +57,11 @@ def test_missing_subcommand_exits_one():
 def test_invalid_parameter_value_exits_one(tmp_path, capsys):
     # parameters are validated before any file is touched
     assert main(["segment", "--epsilon", "-1", "missing.pts", "out.pts"]) == 1
+    # an infinite radius would test every pair of points
+    for command in (["segment", "--epsilon", "inf", "missing.pts", "out.pts"],
+                    ["boundary", "--boundary-radius", "inf", "missing.pts", "out.pts"],
+                    ["sweep", "--mode", "mu", "--epsilon", "inf", "missing.pts"]):
+        assert main(command) == 1, command
     assert main(["sweep", "--mode", "mu", "--mus", "50,10", "missing.pts"]) == 1
     for command in (["segment", "missing.pts", "out.pts"], ["stats", "missing.pts"],
                     ["synth", "--profile", "dense", "--out", str(tmp_path / "out.pts")]):
@@ -357,12 +362,20 @@ _CONTROL_BYTES = (0x0b, 0x0c, 0x1c, 0x1d, 0x1e, 0x1f, 0x7f)
     ("twice.ply", "ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\n"
                   "property float x\nproperty float y\nproperty float z\nend_header\n1 2 3 4\n",
      5, "repeated vertex property 'x'"),
+    # a second vertex element would merge its properties into the first's
+    ("two.ply", "ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\n"
+                "property float y\nproperty float z\nelement vertex 1\nproperty float class\n"
+                "end_header\n1 2 3\n4\n", 7, "repeated element 'vertex'"),
+    # under re.ASCII, \s matches 0x0b and 0x0c too
+    *[(f"ctl-{byte:#04x}.pts", f"cloi-pts v1 n=1{chr(byte)}\n0 0 0 1 0\n", 1,
+       f"unexpected byte {byte:#04x}") for byte in (0x0b, 0x0c)],
     # str.split() splits on 0x0b, 0x0c and 0x1c-0x1f, so the line would read as
     # "element vertex 1"; no header line holds a control byte
     *[(f"ctl-{byte:#04x}.ply", f"ply\nformat ascii 1.0\nelement{chr(byte)}vertex 1\n"
        "property float x\nproperty float y\nproperty float z\nend_header\n1 2 3\n",
        3, f"unexpected byte {byte:#04x}") for byte in _CONTROL_BYTES],
 ], ids=["superscript-count", "arabic-count", "arabic-pts-count", "repeated-property",
+        "repeated-element", "pts-control-byte-0x0b", "pts-control-byte-0x0c",
         *[f"control-byte-{byte:#04x}" for byte in _CONTROL_BYTES]])
 def test_header_digits_and_properties_are_read_strictly(tmp_path, capsys, name, text, line,
                                                         message):

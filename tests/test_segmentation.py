@@ -46,6 +46,10 @@ def test_params_validation():
         SegmentationParams(mu=0)
     with pytest.raises(ValueError):
         SegmentationParams(boundary_radius=-0.1)
+    for value in (float("inf"), float("nan")):
+        for name in ("epsilon", "boundary_radius"):
+            with pytest.raises(ValueError, match="finite and positive"):
+                SegmentationParams(**{name: value})
     assert SegmentationParams().resolved_boundary_radius == 0.04
     assert SegmentationParams(epsilon=0.02).resolved_boundary_radius == 0.02
     assert SegmentationParams(boundary_radius=0.03).resolved_boundary_radius == 0.03
@@ -313,6 +317,8 @@ def test_single_object_argument_errors():
         segment_single_object(np.empty((0, 3)), 0.04)
     with pytest.raises(ValueError):
         segment_single_object(np.zeros((3, 3)), 0.0)
+    with pytest.raises(ValueError, match="finite and positive"):
+        segment_single_object(np.zeros((3, 3)), float("inf"))
 
 
 # -- invariants ----------------------------------------------------------------
@@ -583,39 +589,47 @@ def test_mu_drops_reported_for_a_small_blob():
 
 
 def test_one_interior_tree_per_class_serves_links_and_reattachment(monkeypatch):
-    # the trees, in build order: a flag tree per class with another class in
-    # reach, over only those points of the other classes; then per class one
-    # tree over its interior, for links and reattachment, and one over its
-    # mixed points, built only when some block holds two components of the
-    # face-linked clique cells
-    built = []
+    # the indexes, in build order: per class one over its interior, for links
+    # and reattachment. The pair streams, in call order: one for the flags,
+    # over the points whose block holds two classes, and per class one over
+    # its mixed interior points, only when some block holds two components
+    # of the face-linked clique cells
+    built, streams = [], []
+    pair_chunks = cloiseg.spatial._pair_chunks
 
     class CountingIndex(RadiusIndex):
         def __init__(self, positions):
             built.append(len(positions))
             super().__init__(positions)
 
-    monkeypatch.setattr(cloiseg.segmentation, "RadiusIndex", CountingIndex)
-    monkeypatch.setattr(cloiseg.boundary, "RadiusIndex", CountingIndex)
-    monkeypatch.setattr(cloiseg.spatial, "RadiusIndex", CountingIndex)
+    def counting_chunks(positions, r, ids):
+        streams.append((len(positions), r))
+        yield from pair_chunks(positions, r, ids)
+
+    for module in (cloiseg.segmentation, cloiseg.boundary, cloiseg.spatial):
+        monkeypatch.setattr(module, "RadiusIndex", CountingIndex)
+    monkeypatch.setattr(cloiseg.spatial, "_pair_chunks", counting_chunks)
     pos = np.vstack([grid_blob((0, 0, 0), 64), grid_blob((0.05, 0, 0), 64),
                      grid_blob((0.5, 0, 0), 64)])
     classes = np.repeat([1, 2, 3], 64)
     _, details = segment_with_details(make_cloud(pos, classes))
     assert details.reattached_count > 0
-    # class 3 is out of every other class's reach: no flag tree
-    assert built == [64, 64, 32, 16, 64]
+    # class 3 is out of every other class's reach: no pair of it is enumerated
+    assert built == [32, 16, 64]
+    assert streams == [(128, 0.04)]
     built.clear()
+    streams.clear()
     segment(make_cloud(pos, 3))
-    assert built == [len(pos)]
+    assert (built, streams) == ([len(pos)], [])
 
     # a chain spaced 3cm, wider than a clique cell (2.31cm at 4cm), falls
     # into runs of 3 or 4 points in cells linked across their faces, split
     # where it skips a cell; its points whose block holds two runs are mixed
     # (26 of 30), the blob's are not
     built.clear()
+    streams.clear()
     chain = np.zeros((30, 3))
     chain[:, 0] = 1.0 + np.arange(30) * 0.03
     labeling = segment(make_cloud(np.vstack([grid_blob((0, 0, 0), 64), chain]), 3))
-    assert built == [94, 26]
+    assert (built, streams) == ([94], [(26, 0.04)])
     assert labeling.assignment.tolist() == [0] * 64 + [1] * 30

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cloiseg.segmentation
+import cloiseg.spatial
 from cloiseg import (
     ClassLabel,
-    RadiusIndex,
     InstanceLabeling,
     SegmentationParams,
     ShapeSpec,
@@ -457,33 +457,34 @@ def test_radius_sweep_key_fallback():
 
 
 def _record_queries(monkeypatch):
-    """Every clique-cell round and pair query, as (kind, points, radius, links or pairs)."""
+    """Every clique-cell round and pair stream, as (kind, points, radius, links or pairs)."""
     calls = []
-    clique_cells, pairs_within = cloiseg.segmentation.clique_cells, RadiusIndex.pairs_within
+    clique_cells, pair_chunks = cloiseg.segmentation.clique_cells, cloiseg.spatial._pair_chunks
 
     def cliques(positions, r):
         labels, edges = clique_cells(positions, r)
         calls.append(("cliques", len(positions), r, len(edges)))
         return labels, edges
 
-    def pairs(self, r):
-        found = pairs_within(self, r)
-        calls.append(("pairs", len(self), r, len(found)))
-        return found
+    def pairs(positions, r, ids):
+        found = list(pair_chunks(positions, r, ids))
+        calls.append(("pairs", len(positions), r, sum(map(len, found))))
+        yield from found
 
     monkeypatch.setattr(cloiseg.segmentation, "clique_cells", cliques)
-    monkeypatch.setattr(RadiusIndex, "pairs_within", pairs)
+    monkeypatch.setattr(cloiseg.spatial, "_pair_chunks", pairs)
     return calls
 
 
 # a lattice spaced 1cm is one component at the first radius, and a chain
 # spaced 2.5cm beside it at the third. At 1cm each lattice point is its own
 # clique cell (side 5.8mm), and the cells skip one every other step, so the
-# face round links 27 cell pairs and leaves every point mixed; its 54 pairs
-# make it one piece. The chain's points lie in separate blocks at 1cm, so
-# nothing is mixed. At 2cm only the chain's points whose block holds another
-# chain point are mixed (5 of 6), with no pair; at 3cm its 5 links
-ONE_PIECE_QUERIES = [("cliques", 27, 0.01, 27), ("pairs", 27, 0.01, 54),
+# face round links 27 cell pairs and leaves every point mixed; the 27 of its
+# 54 pairs that join two labels make it one piece. The chain's points lie in
+# separate blocks at 1cm, so nothing is mixed. At 2cm only the chain's points
+# whose block holds another chain point are mixed (5 of 6), with no pair; at
+# 3cm its 5 links
+ONE_PIECE_QUERIES = [("cliques", 27, 0.01, 27), ("pairs", 27, 0.01, 27),
                      ("cliques", 6, 0.01, 0), ("pairs", 5, 0.02, 0), ("pairs", 6, 0.03, 5)]
 
 
