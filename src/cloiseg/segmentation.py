@@ -43,7 +43,7 @@ import numpy as np
 
 from .boundary import _boundary_flags
 from .model import NOISE, LabeledPointCloud, _group_instances
-from .spatial import RadiusIndex, _checked_positions, clique_cells, mixed_pairs
+from .spatial import RadiusIndex, _checked_positions, _distinct, clique_cells, mixed_pairs
 
 #: Boundary points farther than this multiple of epsilon from every
 #: same-class instance become NOISE instead of joining one.
@@ -256,7 +256,7 @@ def _segment_before_mu(
 
     # labels are smallest members of provisional instances, or NOISE
     labels = np.full(n, NOISE, dtype=np.int64)
-    for c in np.unique(classes[~flags]):
+    for c in _distinct(classes[~flags]):
         _label_class(positions, np.flatnonzero(classes == c), flags, labels, eps)
 
     # a label is its instance's smallest member, an interior point, so

@@ -114,7 +114,7 @@ def _cells(radius: float, *clouds: np.ndarray, clique: bool = False):
             del q
         top = max(int(c.max()) for c in parts if c.size)
         if top > 2 * n:
-            occupied = np.unique(np.concatenate(parts))
+            occupied = _distinct(np.concatenate(parts))
             steps = np.cumsum(np.minimum(np.diff(occupied, prepend=occupied[0]), 2))
             parts = [steps[np.searchsorted(occupied, c)] for c in parts]
             top = int(steps[-1])
@@ -200,8 +200,22 @@ def _chunks(cost: np.ndarray):
     total = cum[-1] if cum.size else 0
     cuts = np.searchsorted(cum, np.arange(CANDIDATE_BUDGET, total, CANDIDATE_BUDGET),
                            side="right")
-    bounds = np.unique(np.concatenate([[0], cuts, [cost.size]]))
+    bounds = _distinct(np.concatenate([[0], cuts, [cost.size]]))
     return zip(bounds[:-1].tolist(), bounds[1:].tolist())
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array, ascending and in its dtype: ``np.unique`` by one sort.
+
+    numpy 2.4's plain ``np.unique`` imports ``numpy.ma`` on its first call
+    (about 16 ms of every CLI ``segment``), and on int64 its hash table is
+    slower than a sort.
+    """
+    values = np.sort(values)
+    keep = np.empty(values.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def _checked_positions(positions) -> np.ndarray:

@@ -9,37 +9,89 @@ name that ``perfbench/tracing.py`` wraps (``TRACED``: a function of a
 module, or a method defined on a class). The benchmark unpacks no ``*`` or
 ``**`` arguments into these calls, so each call's arguments are read as
 written.
+
+Every reference is resolved by attribute reads alone, in a fresh
+interpreter that has made only the import the benchmark makes for it
+(``import cloiseg``, or ``import cloiseg.cli`` for the CLI's names). This
+test process has imported every submodule, which would hide a package
+that binds a submodule only when something imports it.
 """
 
 from __future__ import annotations
 
 import ast
-import importlib
+import functools
 import inspect
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import cloiseg
+import cloiseg.cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 _REFERENCE = re.compile(r"\bcloiseg(?:\.[A-Za-z_]\w*)+")
 
+#: reads names from stdin and prints those that attribute reads do not resolve
+_PROBE = """
+import functools, json, sys
+import cloiseg
+failed = {}
+for dotted in json.load(sys.stdin):
+    try:
+        functools.reduce(getattr, dotted.split(".")[1:], cloiseg)
+    except AttributeError as exc:
+        failed[dotted] = str(exc)
+print(json.dumps(failed))
+"""
+
 
 def _resolve(dotted: str):
-    """The object at ``dotted`` (``cloiseg.a.b``), importing submodules on the way."""
-    obj, name = cloiseg, "cloiseg"
-    for attr in dotted.split(".")[1:]:
-        name += f".{attr}"
-        if not hasattr(obj, attr):  # a submodule that is not imported yet
-            importlib.import_module(name)
-        obj = getattr(obj, attr)
-    return obj
+    """The object at ``dotted`` (``cloiseg.a.b``), by attribute reads alone."""
+    return functools.reduce(getattr, dotted.split(".")[1:], cloiseg)
 
 
 def _references() -> list[str]:
     return sorted({m[0] for f in PERFBENCH.glob("*.py") for m in _REFERENCE.finditer(f.read_text())})
+
+
+def _imports() -> set[str]:
+    """The package modules that ``perfbench/*.py`` imports by name."""
+    names = set()
+    for f in PERFBENCH.glob("*.py"):
+        for node in ast.walk(ast.parse(f.read_text())):
+            if isinstance(node, ast.Import):
+                names.update(a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names.add(node.module)
+    return {n for n in names if n.split(".")[0] == "cloiseg"}
+
+
+@functools.cache
+def _unresolved_when_fresh() -> dict[str, str]:
+    """Each reference that a fresh interpreter cannot read after the benchmark's import for it.
+
+    A reference is read after importing the longest module the benchmark
+    imports that prefixes it, in one interpreter per such module.
+    """
+    imports = _imports()
+    groups: dict[str, list[str]] = {}
+    for dotted in _references():
+        module = max((m for m in imports if f"{dotted}.".startswith(f"{m}.")), key=len)
+        groups.setdefault(module, []).append(dotted)
+    src = str(Path(cloiseg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    failed = {}
+    for module, names in groups.items():
+        out = subprocess.run([sys.executable, "-c", f"import {module}\n{_PROBE}"], env=env,
+                             input=json.dumps(names), capture_output=True, text=True, check=True)
+        failed.update(json.loads(out.stdout))
+    return failed
 
 
 def _dotted(node: ast.expr) -> str | None:
@@ -76,7 +128,7 @@ def test_the_benchmark_names_some_package_attributes():
 
 @pytest.mark.parametrize("dotted", _references())
 def test_benchmark_reference_resolves(dotted):
-    _resolve(dotted)
+    assert dotted not in _unresolved_when_fresh(), _unresolved_when_fresh()[dotted]
 
 
 @pytest.mark.parametrize("dotted, positional, keywords", _calls(),
