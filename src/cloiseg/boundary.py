@@ -10,14 +10,13 @@ its cut.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .model import LabeledPointCloud
-from .spatial import RadiusIndex, mixed_pairs
+from .spatial import RadiusIndex, _check_radius, mixed_pairs
 
 
 @dataclass(frozen=True)
@@ -27,8 +26,7 @@ class BoundaryParams:
     radius: float = 0.04
 
     def __post_init__(self):
-        if not 0 < self.radius < math.inf:
-            raise ValueError(f"boundary radius must be finite and positive, got {self.radius}")
+        _check_radius(self.radius, "boundary radius")
 
 
 class BoundaryStats(NamedTuple):

@@ -25,7 +25,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__
 from .boundary import BoundaryParams, _boundary_flags, detect_gt_instance_boundaries
-from .evaluation import THRESHOLDS, score
+from .evaluation import _THRESHOLD, THRESHOLDS, _check_threshold, score
 from .model import (
     ClassLabel,
     LabeledPointCloud,
@@ -63,10 +63,6 @@ def _floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip()]
 
 
-def _ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
-
-
 def _given(args: argparse.Namespace, *names: str) -> dict:
     """The options among ``names`` that the subcommand has, by name."""
     return {name: getattr(args, name) for name in names if hasattr(args, name)}
@@ -75,14 +71,13 @@ def _given(args: argparse.Namespace, *names: str) -> dict:
 def _check(args: argparse.Namespace) -> None:
     """Validate every parameter on ``args`` before any file is touched, or raise ValueError.
 
+    The library objects check every value but ``--threads`` and ``--manifest``.
     Adds ``args.params`` and replaces the grids with their validated tuples.
     """
     args.params = SegmentationParams(**_given(args, "epsilon", "mu", "boundary_radius"))
     grids = SweepSpec(**_given(args, "epsilons", "mus", "thresholds"))
     args.epsilons, args.mus, args.thresholds = grids.epsilons, grids.mus, grids.thresholds
-    threshold = getattr(args, "threshold", 0.5)
-    if not 0 < threshold <= 1:
-        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
+    _check_threshold(getattr(args, "threshold", _THRESHOLD))
     if args.threads < 1:
         raise ValueError(f"--threads must be >= 1, got {args.threads}")
     if getattr(args, "manifest", None) and not args.profile:
@@ -118,7 +113,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("boundary", help="flag boundary points, append flag column")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--boundary-radius", type=float, default=0.04)
+    p.add_argument("--boundary-radius", type=float, default=BoundaryParams.radius)
     p.add_argument("--gt", action="store_true", dest="gt_flag",
                    help="flag ground-truth instance boundaries instead of class boundaries")
     common(p)
@@ -126,9 +121,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("segment", help="segment a cloud into instances")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--epsilon", type=float, default=0.04)
-    p.add_argument("--mu", type=int, default=20)
-    p.add_argument("--boundary-radius", type=float, default=None)
+    p.add_argument("--epsilon", type=float, default=SegmentationParams.epsilon)
+    p.add_argument("--mu", type=float, default=SegmentationParams.mu)
+    p.add_argument("--boundary-radius", type=float, default=SegmentationParams.boundary_radius)
     common(p)
 
     p = sub.add_parser("eval", help="score predictions against ground truth (CSV to stdout)")
@@ -140,13 +135,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="parameter sweeps (CSV)")
     p.add_argument("inputs", nargs="+")
     p.add_argument("--mode", choices=["mu", "epsilon", "radius", "bias"], required=True)
-    p.add_argument("--epsilon", type=float, default=0.04)
-    p.add_argument("--mu", type=int, default=20)
+    p.add_argument("--epsilon", type=float, default=SegmentationParams.epsilon)
+    p.add_argument("--mu", type=float, default=SegmentationParams.mu)
     p.add_argument("--epsilons", type=_floats, default=list(DEFAULT_EPSILONS))
-    p.add_argument("--mus", type=_ints, default=list(DEFAULT_MUS))
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--mus", type=_floats, default=list(DEFAULT_MUS))
+    p.add_argument("--threshold", type=float, default=_THRESHOLD)
     p.add_argument("--thresholds", type=_floats, default=list(THRESHOLDS))
-    p.add_argument("--boundary-radius", type=float, default=None)
+    p.add_argument("--boundary-radius", type=float, default=SegmentationParams.boundary_radius)
     p.add_argument("--out", default=None, dest="output", help="CSV path (default: stdout)")
     common(p)
 

@@ -16,16 +16,24 @@ import numpy as np
 
 from .model import CLOI_CLASSES, NOISE, ClassLabel
 from .segmentation import InstanceLabeling, SingleObjectResult
+from .spatial import _distinct
 
 THRESHOLDS = (0.25, 0.50, 0.75)
+#: the IoU threshold of a one-threshold report (``sweep_mu``, ``facility_bias_report``)
+_THRESHOLD = 0.5
+
+
+def _check_threshold(value: float) -> float:
+    """``value`` if it is an IoU threshold in (0, 1], else a ValueError."""
+    if not 0 < value <= 1:
+        raise ValueError(f"threshold must be in (0, 1], got {value}")
+    return value
 
 
 def iou(pred_set, gt_set) -> float:
     """Intersection over union of two non-empty point-index sets."""
-    a = np.unique(np.asarray(list(pred_set) if isinstance(pred_set, (set, frozenset)) else pred_set,
-                             dtype=np.int64))
-    b = np.unique(np.asarray(list(gt_set) if isinstance(gt_set, (set, frozenset)) else gt_set,
-                             dtype=np.int64))
+    a, b = (_distinct(np.asarray(list(s) if isinstance(s, (set, frozenset)) else s,
+                                 dtype=np.int64).ravel()) for s in (pred_set, gt_set))
     if a.size == 0 or b.size == 0:
         raise ValueError("iou requires non-empty sets")
     inter = np.intersect1d(a, b, assume_unique=True).size
@@ -65,8 +73,7 @@ def _ranked_pairs(pred: InstanceLabeling, gt: InstanceLabeling) -> list[tuple[in
 
 def _greedy(ranked: list[tuple[int, int, float]], threshold: float) -> list[MatchedPair]:
     """The one-to-one pairs taken in ranked order while IoU >= threshold."""
-    if not 0 < threshold <= 1:
-        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
+    _check_threshold(threshold)
     pred_taken, gt_taken, pairs = set(), set(), []
     for p, g, v in ranked:
         if v < threshold:
@@ -184,7 +191,6 @@ def rec_ins(results: Sequence[SingleObjectResult], threshold: float) -> float:
     """Fraction of objects whose largest single-object component reaches the IoU threshold."""
     if not results:
         raise ValueError("rec_ins requires at least one ground-truth instance")
-    if not 0 < threshold <= 1:
-        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
+    _check_threshold(threshold)
     hits = sum(1 for r in results if r.largest_fraction >= threshold)
     return hits / len(results)

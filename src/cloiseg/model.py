@@ -24,6 +24,8 @@ from typing import Mapping, NoReturn
 
 import numpy as np
 
+from .spatial import _distinct
+
 NOISE = -1
 
 _HEADER_RE = re.compile(r"^cloi-pts v1 n=(\d+)\s*$", re.ASCII)
@@ -602,7 +604,5 @@ def class_histogram(cloud: LabeledPointCloud) -> Mapping[ClassLabel, tuple[int, 
     out: dict[ClassLabel, tuple[int, int]] = {}
     for label in ClassLabel:
         mask = cloud.class_labels == int(label)
-        n_points = int(mask.sum())
-        n_instances = int(np.unique(cloud.gt_instance[mask]).size) if n_points else 0
-        out[label] = (n_instances, n_points)
+        out[label] = (_distinct(cloud.gt_instance[mask]).size, int(mask.sum()))
     return out

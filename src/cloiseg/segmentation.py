@@ -35,7 +35,6 @@ starts from the labels of the radius before and runs only the join step.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -43,19 +42,26 @@ import numpy as np
 
 from .boundary import _boundary_flags
 from .model import NOISE, LabeledPointCloud, _group_instances
-from .spatial import RadiusIndex, _checked_positions, _distinct, clique_cells, mixed_pairs
+from .spatial import (RadiusIndex, _check_radius, _checked_positions, _distinct, clique_cells,
+                      mixed_pairs)
 
 #: Boundary points farther than this multiple of epsilon from every
 #: same-class instance become NOISE instead of joining one.
 REATTACH_CAP_FACTOR = 3.0
 
 
+def _check_mu(value) -> int:
+    """``value`` as an int if it is a whole number >= 1, else a ValueError."""
+    if not (value >= 1 and float(value).is_integer()):
+        raise ValueError(f"mu must be an integer >= 1, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SegmentationParams:
-    """Link radius epsilon (m), minimum instance size mu (whole points), boundary radius (m).
+    """Link radius epsilon (m), minimum instance size mu (points), boundary radius (m).
 
-    ``boundary_radius=None`` tracks epsilon. Defaults are the tuned optimum
-    for industrial scans: epsilon 4cm, mu 20 points.
+    ``boundary_radius=None`` tracks epsilon. README's Parameters table gives each rule.
     """
 
     epsilon: float = 0.04
@@ -63,13 +69,9 @@ class SegmentationParams:
     boundary_radius: float | None = None
 
     def __post_init__(self):
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
-        if self.mu < 1 or not float(self.mu).is_integer():
-            raise ValueError(f"mu must be an integer >= 1, got {self.mu}")
-        if self.boundary_radius is not None and not 0 < self.boundary_radius < math.inf:
-            raise ValueError("boundary radius must be finite and positive, "
-                             f"got {self.boundary_radius}")
+        _check_radius(self.epsilon, "epsilon")
+        object.__setattr__(self, "mu", _check_mu(self.mu))
+        _check_radius(self.resolved_boundary_radius, "boundary radius")
 
     @property
     def resolved_boundary_radius(self) -> float:
@@ -149,7 +151,7 @@ def connected_components(
     if subset is None:
         vertices = np.arange(len(index), dtype=np.int64)
     else:
-        vertices = np.unique(np.asarray(subset, dtype=np.int64))
+        vertices = _distinct(np.asarray(subset, dtype=np.int64).ravel())
         if vertices.size and (vertices[0] < 0 or vertices[-1] >= len(index)):
             raise ValueError("subset index out of range")
         index = RadiusIndex(index.positions[vertices])
@@ -307,11 +309,10 @@ def _mu_filter(assignment: np.ndarray, mu: int) -> tuple[np.ndarray, int, int]:
 
 def segment_single_object(positions: np.ndarray, epsilon: float) -> SingleObjectResult:
     """Fragmentation of one object: plain distance components, no class or boundary rules."""
+    _check_radius(epsilon, "epsilon")
     positions = _checked_positions(positions)
     if positions.size == 0:
         raise ValueError("object has no points")
-    if not 0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     return _fragmentation_by_radius(positions, (epsilon,))[0]
 
 

@@ -218,6 +218,13 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
+def _check_radius(value: float, name: str = "radius") -> float:
+    """``value`` if it is a finite length > 0, else a ValueError that names ``name``."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+    return value
+
+
 def _checked_positions(positions) -> np.ndarray:
     """``positions`` as a contiguous float64 array of shape (N, 3), all finite, or ValueError."""
     positions = np.ascontiguousarray(positions, dtype=np.float64)
@@ -295,8 +302,7 @@ class RadiusIndex:
 
     def pairs_within(self, r: float) -> np.ndarray:
         """All index pairs (i, j), i < j, with d(P_i, P_j) <= r; shape (M, 2)."""
-        if not r > 0:
-            raise ValueError(f"radius must be positive, got {r}")
+        _check_radius(r)
         return np.concatenate([np.empty((0, 2), dtype=np.int64),
                                *_pair_chunks(self.positions, r, np.arange(len(self)))],
                               dtype=np.int64)
@@ -315,8 +321,7 @@ class RadiusIndex:
         the block holds every point within that radius; the others are
         queried again at the next radius, the last being ``cap``.
         """
-        if not cap > 0:
-            raise ValueError(f"cap must be positive, got {cap}")
+        _check_radius(cap, "cap")
         points = _checked_positions(points)
         rows, nearest = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
         todo = np.arange(points.shape[0]) if len(self) else np.empty(0, dtype=np.int64)

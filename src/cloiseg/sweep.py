@@ -9,9 +9,7 @@ radius sweep starts each radius after the first from the components of the
 radius before and joins them only at mixed points (see
 ``_fragmentation_by_radius``).
 Rows are plain dicts meant for CSV emission; plotting is out of scope.
-During epsilon sweeps the boundary radius tracks epsilon unless explicitly
-overridden; the radius sweep flags no boundaries, so it has no boundary
-radius.
+The radius sweep flags no boundaries, so it takes no boundary radius.
 """
 
 from __future__ import annotations
@@ -24,17 +22,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .evaluation import THRESHOLDS, rec_ins, score
+from .evaluation import _THRESHOLD, THRESHOLDS, _check_threshold, rec_ins, score
 from .model import ClassLabel, LabeledPointCloud, atomic_open
 from .segmentation import (
     InstanceLabeling,
     SegmentationParams,
+    _check_mu,
     _fragmentation_by_radius,
     _mu_filter,
     _segment_before_mu,
     segment,
     segment_with_details,
 )
+from .spatial import _check_radius
 
 DEFAULT_EPSILONS = (0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07)
 DEFAULT_MUS = (10, 20, 50, 100, 150, 200)
@@ -42,24 +42,18 @@ RADIUS_SELECTION_TARGET = 0.9
 RADIUS_SELECTION_THRESHOLD = 0.5
 
 
-def _check_grid(
-    values: Sequence[float], name: str, minimum: float, maximum: float = math.inf
-) -> tuple:
-    values = tuple(values)
+_RULES = {"epsilon": lambda v: _check_radius(v, "epsilon"), "mu": _check_mu,
+          "threshold": _check_threshold}
+
+
+def _check_grid(values: Sequence[float], name: str) -> tuple:
+    """``values`` as a non-empty ascending tuple, each value checked by ``_RULES[name]``."""
+    values = tuple(_RULES[name](v) for v in values)
     if not values:
         raise ValueError(f"{name} grid must be non-empty")
-    if not all(math.isfinite(v) and minimum <= v <= maximum for v in values):
-        raise ValueError(f"{name} grid values must be finite, in [{minimum:g}, {maximum:g}]")
     if list(values) != sorted(values):
         raise ValueError(f"{name} grid must be sorted ascending")
     return values
-
-
-def _check_mus(mus: Sequence[int]) -> tuple[int, ...]:
-    mus = _check_grid(mus, "mu", minimum=1)
-    if not all(float(m).is_integer() for m in mus):
-        raise ValueError("mu grid values must be integers")
-    return tuple(int(m) for m in mus)
 
 
 class SweepSpec:
@@ -71,9 +65,9 @@ class SweepSpec:
         mus: Sequence[int] = DEFAULT_MUS,
         thresholds: Sequence[float] = THRESHOLDS,
     ):
-        self.epsilons = _check_grid(epsilons, "epsilon", minimum=1e-12)
-        self.mus = _check_mus(mus)
-        self.thresholds = _check_grid(thresholds, "threshold", minimum=1e-12, maximum=1.0)
+        self.epsilons = _check_grid(epsilons, "epsilon")
+        self.mus = _check_grid(mus, "mu")
+        self.thresholds = _check_grid(thresholds, "threshold")
 
 
 def _gt_labeling(cloud: LabeledPointCloud) -> InstanceLabeling:
@@ -86,7 +80,7 @@ def sweep_mu(
     cloud: LabeledPointCloud,
     epsilon: float,
     mus: Sequence[int] = DEFAULT_MUS,
-    threshold: float = 0.5,
+    threshold: float = _THRESHOLD,
     boundary_radius: float | None = None,
     workers: int | None = None,
 ) -> list[dict]:
@@ -95,9 +89,10 @@ def sweep_mu(
     Each row equals ``segment`` with that mu plus ``score``. The size filter
     is the last stage, so the stages before it run once for the whole grid.
     """
-    mus = _check_mus(mus)
-    gt = _gt_labeling(cloud)
+    mus = _check_grid(mus, "mu")
+    _check_threshold(threshold)
     params = SegmentationParams(epsilon=epsilon, mu=mus[0], boundary_radius=boundary_radius)
+    gt = _gt_labeling(cloud)
     unfiltered, _ = _segment_before_mu(cloud, params)
     rows = []
     for mu in mus:
@@ -118,14 +113,13 @@ def sweep_mu(
 def sweep_epsilon(
     cloud: LabeledPointCloud,
     epsilons: Sequence[float] = DEFAULT_EPSILONS,
-    mu: int = 20,
+    mu: int = SegmentationParams.mu,
     thresholds: Sequence[float] = THRESHOLDS,
     boundary_radius: float | None = None,
     workers: int | None = None,
 ) -> list[dict]:
     """One segmentation+score per link radius; reports pre-filter component counts."""
-    epsilons = _check_grid(epsilons, "epsilon", minimum=1e-12)
-    thresholds = tuple(thresholds)
+    epsilons, thresholds = _check_grid(epsilons, "epsilon"), _check_grid(thresholds, "threshold")
     gt = _gt_labeling(cloud)
     rows = []
     for eps in epsilons:
@@ -157,8 +151,7 @@ def sweep_radius_per_object(
     Returns the rows plus the smallest radius whose mRec_ins at IoU 0.5
     reaches 90%, or None if no grid value qualifies.
     """
-    epsilons = _check_grid(epsilons, "epsilon", minimum=1e-12)
-    thresholds = tuple(thresholds)
+    epsilons, thresholds = _check_grid(epsilons, "epsilon"), _check_grid(thresholds, "threshold")
     gt = _gt_labeling(cloud)
     if gt.n_instances == 0:
         raise ValueError("cloud has no ground-truth instances")
@@ -185,11 +178,12 @@ def sweep_radius_per_object(
 def facility_bias_report(
     facilities: Sequence[tuple[str, LabeledPointCloud]],
     params: SegmentationParams | None = None,
-    threshold: float = 0.5,
+    threshold: float = _THRESHOLD,
 ) -> tuple[list[dict], dict]:
     """Per-facility mean precision/recall plus spread statistics (descriptive only)."""
     if len(facilities) < 2:
         raise ValueError("facility bias report needs at least 2 clouds")
+    _check_threshold(threshold)
     params = params or SegmentationParams()
     rows = []
     for name, cloud in facilities:

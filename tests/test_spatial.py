@@ -52,10 +52,11 @@ def test_boundary_distance_is_included():
 
 def test_argument_errors():
     index = RadiusIndex(np.array([[0, 0, 0]]))
-    for r in (0.0, -0.1, float("nan")):
-        with pytest.raises(ValueError, match="radius must be positive"):
+    # an infinite radius would test every pair of points
+    for r in (0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="radius must be finite and positive"):
             index.pairs_within(r)
-        with pytest.raises(ValueError, match="cap must be positive"):
+        with pytest.raises(ValueError, match="cap must be finite and positive"):
             index.nearest_within(np.zeros((1, 3)), r)
     for subset in ([1], [-1]):
         with pytest.raises(ValueError, match="subset index out of range"):

@@ -74,10 +74,12 @@ def test_exports_are_read_from_their_home_modules_every_time(monkeypatch):
 
 def test_segment_loads_no_numpy_ma(scene, tmp_path):
     # numpy 2.4's plain np.unique imports numpy.ma on its first call
-    probe = ("import sys, cloiseg.cli\n"
+    probe = ("import contextlib, io, sys, cloiseg.cli\n"
              f"assert cloiseg.cli.main(['segment', {str(scene)!r}, 'out.pts', '--quiet']) == 0\n"
              "assert cloiseg.cli.main(['sweep', '--mode', 'epsilon', "
              f"{str(scene)!r}, '--out', 'eps.csv', '--quiet']) == 0\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    assert cloiseg.cli.main(['stats', {str(scene)!r}, '--quiet']) == 0\n"
              "print('numpy.ma' in sys.modules)")
     assert _python(probe, cwd=tmp_path) == "False"
 

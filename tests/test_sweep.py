@@ -46,21 +46,17 @@ def _gt(cloud):
 
 
 def test_sweep_spec_validation():
-    with pytest.raises(ValueError):
+    # one value per grid is test_parameters.py's table; these are the grid rules
+    with pytest.raises(ValueError, match="epsilon grid must be non-empty"):
         SweepSpec(epsilons=())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="epsilon grid must be sorted ascending"):
         SweepSpec(epsilons=(0.02, 0.01))
-    with pytest.raises(ValueError):
-        SweepSpec(mus=(0,))
-    with pytest.raises(ValueError, match="integers"):
-        SweepSpec(mus=(10, 20.5))
-    for grids in ({"epsilons": (float("nan"),)}, {"epsilons": (0.02, float("nan"))},
-                  {"epsilons": (0.02, float("inf"))}, {"mus": (10, float("nan"))},
-                  {"thresholds": (0.5, 2.0)}, {"thresholds": (float("nan"),)},
-                  {"thresholds": (0.0, 0.5)}):
-        with pytest.raises(ValueError, match="must be finite"):
+    # every value is checked, not only the first
+    for grids in ({"epsilons": (0.02, float("nan"))}, {"mus": (10, 20.5)},
+                  {"thresholds": (0.5, 2.0)}):
+        with pytest.raises(ValueError, match="must be"):
             SweepSpec(**grids)
-    assert SweepSpec(thresholds=(0.25, 1.0)).thresholds == (0.25, 1.0)
+    assert SweepSpec(mus=(10.0, 20)).mus == (10, 20)
     spec = SweepSpec()
     assert spec.epsilons[0] == 0.01 and spec.mus[-1] == 200
 
@@ -108,7 +104,7 @@ def test_sweep_mu_trends_on_noisy_scene():
 
 def test_sweep_mu_rejects_a_non_integer_mu(dense_cloud):
     # a fractional mu must not run, and be reported, as its truncation
-    with pytest.raises(ValueError, match="integers"):
+    with pytest.raises(ValueError, match="mu must be an integer"):
         sweep_mu(dense_cloud, 0.04, mus=(1860.5,))
 
 
